@@ -7,14 +7,16 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .graphs import Graph, build_butterfly, build_path, read_edge_list
-from .noise import NoiseDomainError, NoiseSpec
+from .noise import FAMILY_PARAMS, NOISE_FAMILIES, NoiseDomainError, NoiseSpec, param_key
 from .runner import (
+    NOISE_MODES,
     ConfigError,
     ScenarioConfig,
     evaluate_reference_tables,
@@ -23,32 +25,10 @@ from .runner import (
     run_scenario,
     sweep_placements,
 )
-from .walk import WalkOperator
+from .walk import RECEIVER_CONVENTIONS, WalkOperator
 
-# Canonical channel parameters used when a family is selected without
-# explicit values; the same settings drive the bundled reference curves.
-DEFAULT_NOISE_PARAMS = {
-    "rtn": {"a": 0.1, "gamma": 0.01},
-    "oun": {"lam": 1.0, "gamma": 0.05},
-    "nmad": {"g": 0.001, "gamma": 5.0},
-}
-
-# CLI flag destinations and the matching flat scenario-file keys.
-_SCENARIO_KEYS = {
-    "seed_path": "seed_path", "wings": "wings", "graph_file": "graph_file",
-    "sender": "sender", "receiver": "receiver", "steps": "steps",
-    "noise": "noise", "rtn_a": "rtn.a", "rtn_gamma": "rtn.gamma",
-    "oun_lambda": "oun.lambda", "oun_gamma": "oun.gamma",
-    "nmad_g": "nmad.g", "nmad_gamma": "nmad.gamma",
-    "receiver_convention": "receiver_convention", "noise_mode": "noise_mode",
-    "peak_threshold": "peak_threshold", "out_csv": "out_csv", "out_json": "out_json",
-}
-
-_DEFAULTS = {
-    "wings": 0, "steps": 200, "noise": "none",
-    "receiver_convention": "outgoing", "noise_mode": "snapshot",
-    "peak_threshold": 0.8,
-}
+# Flag destinations of `run` that are not scenario-file keys.
+_NOT_SCENARIO_KEYS = {"command", "scenario", "dump_operators"}
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -60,18 +40,31 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
                    help="read the walk graph from an edge-list file instead")
 
 
-def _add_noise_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise", choices=("none", "rtn", "oun", "nmad"),
-                   help="noise channel family (default none)")
-    p.add_argument("--rtn-a", type=float, metavar="A", help="telegraph coupling strength (default 0.1)")
-    p.add_argument("--rtn-gamma", type=float, metavar="G", help="telegraph fluctuation rate (default 0.01)")
-    p.add_argument("--oun-lambda", type=float, metavar="L", help="Ornstein-Uhlenbeck relaxation parameter (default 1)")
-    p.add_argument("--oun-gamma", type=float, metavar="G", help="Ornstein-Uhlenbeck noise bandwidth (default 0.05)")
-    p.add_argument("--nmad-g", type=float, metavar="G", help="amplitude-damping spectral width (default 0.001)")
-    p.add_argument("--nmad-gamma", type=float, metavar="G", help="amplitude-damping emission rate (default 5)")
-    p.add_argument("--noise-mode", choices=("snapshot", "stepwise"),
-                   help="snapshot (default): channel at time t acts on the clean state at t; "
-                        "stepwise: channel compounds after every step (comparison only)")
+def _add_horizon_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=int, metavar="T",
+                   help=f"walk horizon (default {ScenarioConfig.steps})")
+    p.add_argument("--receiver-convention", choices=RECEIVER_CONVENTIONS,
+                   help="arc orientation of the receiver state; outgoing reproduces "
+                        f"the reference tables (default {ScenarioConfig.receiver_convention})")
+
+
+def _add_channel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--noise", choices=NOISE_FAMILIES,
+                   help="noise channel family: rtn random telegraph, oun Ornstein-Uhlenbeck, "
+                        f"nmad amplitude damping (default {ScenarioConfig.noise.family})")
+    for family, params in FAMILY_PARAMS.items():
+        for name, value in params.items():
+            key = param_key(family, name)
+            p.add_argument("--" + key.replace(".", "-"), dest=key, type=float,
+                           metavar=name[0].upper(),
+                           help=f"{family} channel parameter (default {value:g})")
+    p.add_argument("--noise-mode", choices=NOISE_MODES,
+                   help="snapshot: channel at time t acts on the clean state at t; "
+                        "stepwise: channel compounds after every step, for comparison only "
+                        f"(default {ScenarioConfig.noise_mode})")
+    p.add_argument("--peak-threshold", type=float, metavar="X",
+                   help="fidelity level counted as a peak "
+                        f"(default {ScenarioConfig.peak_threshold:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,13 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(run)
     run.add_argument("--sender", type=int, metavar="S")
     run.add_argument("--receiver", type=int, metavar="R")
-    run.add_argument("--steps", type=int, metavar="T", help="walk horizon (default 200)")
-    _add_noise_args(run)
-    run.add_argument("--receiver-convention", choices=("incoming", "outgoing"),
-                     help="arc orientation of the receiver state (default outgoing, "
-                          "which reproduces the reference tables)")
-    run.add_argument("--peak-threshold", type=float, metavar="X",
-                     help="fidelity level counted as a peak (default 0.8)")
+    _add_horizon_args(run)
+    _add_channel_args(run)
     run.add_argument("--out-csv", metavar="PATH", help="write the per-step series here")
     run.add_argument("--out-json", metavar="PATH", help="write the run summary here")
     run.add_argument("--dump-operators", action="store_true",
@@ -102,20 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="rank every ordered sender/receiver pair")
     _add_graph_args(sweep)
-    sweep.add_argument("--steps", type=int, metavar="T")
-    _add_noise_args(sweep)
-    sweep.add_argument("--receiver-convention", choices=("incoming", "outgoing"))
-    sweep.add_argument("--peak-threshold", type=float, metavar="X")
+    _add_horizon_args(sweep)
+    _add_channel_args(sweep)
     sweep.add_argument("--out-json", metavar="PATH", help="write the ranked summaries here")
 
     tables = sub.add_parser("tables", help="recompute the reference average-fidelity tables")
-    tables.add_argument("--steps", type=int, default=200, metavar="T")
-    tables.add_argument("--receiver-convention", choices=("incoming", "outgoing"),
-                        default="outgoing")
+    _add_horizon_args(tables)
     return parser
 
 
-def _load_scenario_file(path: str) -> dict:
+def _load_scenario_file(path: str, known: set[str]) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -124,7 +108,6 @@ def _load_scenario_file(path: str) -> dict:
         raise ConfigError(f"scenario: {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"scenario: {path} must hold a JSON object")
-    known = set(_SCENARIO_KEYS.values())
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"scenario: unknown field(s) {', '.join(unknown)} in {path}")
@@ -132,16 +115,9 @@ def _load_scenario_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, scenario: dict) -> dict:
-    """Merge CLI flags over scenario-file fields over hard defaults."""
-    merged = {}
-    for dest, key in _SCENARIO_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            value = scenario.get(key)
-        if value is None:
-            value = _DEFAULTS.get(dest)
-        merged[dest] = value
-    return merged
+    """Merge CLI flags over scenario-file fields, keeping only the values set."""
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_SCENARIO_KEYS}
+    return {k: v for source in (scenario, flags) for k, v in source.items() if v is not None}
 
 
 def _build_graph(opts: dict) -> Graph:
@@ -150,35 +126,33 @@ def _build_graph(opts: dict) -> Graph:
             raise ConfigError("graph: give either --graph-file or --seed-path, not both")
         try:
             return read_edge_list(opts["graph_file"])
-        except OSError as exc:
-            raise ConfigError(f"graph-file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"graph-file: {exc}") from exc
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"graph_file: {exc}") from exc
     if opts.get("seed_path") is None:
         raise ConfigError("graph: one of --seed-path or --graph-file is required")
     try:
-        return build_butterfly(build_path(opts["seed_path"]), int(opts["wings"]))
+        seed = build_path(opts["seed_path"])
     except ValueError as exc:
-        raise ConfigError(f"graph: {exc}") from exc
-
-
-def _build_noise(opts: dict) -> NoiseSpec:
-    family = opts["noise"]
-    if family == "none":
-        return NoiseSpec.none()
-    params = dict(DEFAULT_NOISE_PARAMS[family])
-    overrides = {
-        "rtn": {"a": "rtn_a", "gamma": "rtn_gamma"},
-        "oun": {"lam": "oun_lambda", "gamma": "oun_gamma"},
-        "nmad": {"g": "nmad_g", "gamma": "nmad_gamma"},
-    }[family]
-    for name, dest in overrides.items():
-        if opts.get(dest) is not None:
-            params[name] = float(opts[dest])
+        raise ConfigError(f"seed_path: {exc}") from exc
     try:
-        return NoiseSpec(family=family, **params)
+        return build_butterfly(seed, opts.get("wings", 0))
     except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+        raise ConfigError(f"wings: {exc}") from exc
+
+
+def _scenario_fields(opts: dict) -> dict:
+    """The ScenarioConfig fields, graph aside, that flags or the file set."""
+    fields = {f.name: opts[f.name] for f in dataclasses.fields(ScenarioConfig)
+              if f.name in opts and f.name != "noise"}
+    if "noise" in opts:
+        family = opts["noise"]
+        params = FAMILY_PARAMS[family] if family in NOISE_FAMILIES else {}
+        try:
+            fields["noise"] = NoiseSpec(family, **{
+                name: opts.get(param_key(family, name), value) for name, value in params.items()})
+        except ValueError as exc:
+            raise ConfigError(f"noise: {exc}") from exc
+    return fields
 
 
 def _format_entry(z: complex) -> str:
@@ -202,17 +176,14 @@ def _print_summary(summary, out) -> None:
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
-    scenario = _load_scenario_file(args.scenario) if args.scenario else {}
+    known = set(vars(args)) - _NOT_SCENARIO_KEYS
+    scenario = _load_scenario_file(args.scenario, known) if args.scenario else {}
     opts = _resolve(args, scenario)
     graph = _build_graph(opts)
     for field in ("sender", "receiver"):
-        if opts[field] is None:
+        if field not in opts:
             raise ConfigError(f"{field}: required (flag --{field} or scenario file)")
-    cfg = ScenarioConfig(
-        graph=graph, sender=int(opts["sender"]), receiver=int(opts["receiver"]),
-        steps=int(opts["steps"]), noise=_build_noise(opts),
-        receiver_convention=opts["receiver_convention"],
-        noise_mode=opts["noise_mode"], peak_threshold=float(opts["peak_threshold"]))
+    cfg = ScenarioConfig(graph=graph, **_scenario_fields(opts))
     result = run_scenario(cfg)
     if args.dump_operators:
         _dump_operators(WalkOperator.assemble(graph, cfg.sender, cfg.receiver), out)
@@ -220,10 +191,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
           f"sender {cfg.sender} -> receiver {cfg.receiver}; steps {cfg.steps}; "
           f"noise {cfg.noise.family}", file=out)
     _print_summary(result.summary, out)
-    export(result,
-           csv_path=opts["out_csv"] if opts["out_csv"] else None,
-           json_path=opts["out_json"] if opts["out_json"] else None)
-    for label, path in (("series", opts["out_csv"]), ("summary", opts["out_json"])):
+    csv_path, json_path = opts.get("out_csv"), opts.get("out_json")
+    export(result, csv_path=csv_path or None, json_path=json_path or None)
+    for label, path in (("series", csv_path), ("summary", json_path)):
         if path:
             print(f"wrote {label} to {path}", file=out)
     return 0
@@ -232,29 +202,29 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
     opts = _resolve(args, {})
     graph = _build_graph(opts)
-    summaries = sweep_placements(
-        graph, steps=int(opts["steps"]), noise=_build_noise(opts),
-        receiver_convention=opts["receiver_convention"],
-        noise_mode=opts["noise_mode"], peak_threshold=float(opts["peak_threshold"]))
-    print(f"graph: {graph.n} vertices, {graph.m} edges; steps {opts['steps']}; "
-          f"noise {opts['noise']}; {len(summaries)} ordered pairs", file=out)
+    fields = _scenario_fields(opts)
+    summaries = sweep_placements(graph, **fields)
+    print(f"graph: {graph.n} vertices, {graph.m} edges; "
+          f"steps {fields.get('steps', ScenarioConfig.steps)}; "
+          f"noise {summaries[0].noise_family}; {len(summaries)} ordered pairs", file=out)
     print("rank  s -> r   avg fidelity   max fidelity   at t", file=out)
     for i, s in enumerate(summaries, start=1):
         print(f"{i:4d}  {s.sender} -> {s.receiver}   {s.average_fidelity:12.6f}"
               f"   {s.max_fidelity:12.6f}   {s.argmax_t}", file=out)
-    if opts["out_json"]:
+    if opts.get("out_json"):
         export_sweep(summaries, opts["out_json"])
         print(f"wrote summaries to {opts['out_json']}", file=out)
     return 0
 
 
 def _cmd_tables(args: argparse.Namespace, out) -> int:
-    results = evaluate_reference_tables(steps=args.steps,
-                                        receiver_convention=args.receiver_convention)
+    opts = _resolve(args, {})
+    steps = opts.get("steps", ScenarioConfig.steps)
+    convention = opts.get("receiver_convention", ScenarioConfig.receiver_convention)
+    results = evaluate_reference_tables(steps=steps, receiver_convention=convention)
     worst = 0.0
     for table, rows in results:
-        print(f"== {table.label} (steps={args.steps}, "
-              f"receiver convention {args.receiver_convention})", file=out)
+        print(f"== {table.label} (steps={steps}, receiver convention {convention})", file=out)
         print("   s -> r    computed    reference   residual", file=out)
         for s, r, computed, expected, residual in rows:
             worst = max(worst, abs(residual))

@@ -7,6 +7,7 @@ so wing j occupies labels j*n .. (j+1)*n - 1.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,10 +75,20 @@ class Graph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
+def is_int(value) -> bool:
+    """True for Python and NumPy integers, false for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for Python and NumPy real numbers, false for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def build_path(n: int) -> Graph:
     """Path graph on n vertices with edges (i, i+1)."""
-    if n < 1:
-        raise ValueError(f"path graph needs n >= 1 vertices, got {n}")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"path graph needs an integer n >= 1, got {n!r}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
@@ -88,8 +99,8 @@ def build_butterfly(seed: Graph, wings: int) -> Graph:
     one joining edge (i, j*n + i) per body vertex i.  The result has
     (wings+1)*n vertices and (wings+1)*m + wings*n edges.
     """
-    if wings < 0:
-        raise ValueError(f"wing count must be >= 0, got {wings}")
+    if not is_int(wings) or wings < 0:
+        raise ValueError(f"wings must be an integer >= 0, got {wings!r}")
     n = seed.n
     edges = list(seed.edges)
     for j in range(1, wings + 1):

@@ -19,22 +19,36 @@ from typing import Optional
 
 import numpy as np
 
+from .graphs import is_real
+
 # Kernel values may stray past their exact range by at most this much
 # before we treat it as a wrong-parameter signal instead of float noise.
 DOMAIN_SLACK = 1e-9
 
-NOISE_FAMILIES = ("none", "rtn", "oun", "nmad")
+# Each family's NoiseSpec parameters and their canonical (reference-curve) values.
+FAMILY_PARAMS = {
+    "none": {},
+    "rtn": {"a": 0.1, "gamma": 0.01},
+    "oun": {"lam": 1.0, "gamma": 0.05},
+    "nmad": {"g": 0.001, "gamma": 5.0},
+}
+NOISE_FAMILIES = tuple(FAMILY_PARAMS)
 
 
 class NoiseDomainError(ArithmeticError):
     """A noise kernel left its analytic range by more than float noise."""
 
 
+def param_key(family: str, name: str) -> str:
+    """Scenario-file key of a channel parameter: "rtn.a", "oun.lambda", ..."""
+    return f"{family}.{'lambda' if name == 'lam' else name}"
+
+
 def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not value > 0:
-        raise ValueError(f"noise parameter {name} must be > 0, got {value}")
-    return value
+    if not (is_real(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"noise parameter {name} must be a finite real number > 0, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _check_time(t: float) -> float:
@@ -100,18 +114,20 @@ def nmad_damping(g: float, gamma: float, t: float) -> float:
     """Damped fraction of the amplitude-damping channel, in [0, 1].
 
     1 - exp(-g*t) * [(g/l)*sinh(l*t/2) + cosh(l*t/2)]^2 with
-    l = sqrt(g^2 - 2*gamma*g).  For g < 2*gamma the rate l is imaginary
-    and the bracket becomes (g/|l|)*sin(|l|*t/2) + cos(|l|*t/2).
+    l = sqrt(g^2 - 2*gamma*g), taken as g*sqrt(1 - 2*gamma/g) when real so
+    that g*g cannot overflow and l - g cannot cancel.  For g < 2*gamma the
+    rate l is imaginary and the bracket becomes (g/|l|)*sin(|l|*t/2) + cos(|l|*t/2).
     """
     g = _check_positive(g, "g")
     gamma = _check_positive(gamma, "gamma")
     t = _check_time(t)
+    ratio = 2.0 * gamma / g
     radicand = g * g - 2.0 * gamma * g
-    if radicand > 0:
-        ell = math.sqrt(radicand)  # ell < g: the folded exponents decay
-        inner = (0.5 * (1.0 + g / ell) * math.exp(0.5 * (ell - g) * t)
-                 + 0.5 * (1.0 - g / ell) * math.exp(-0.5 * (ell + g) * t))
-    elif radicand == 0:
+    if ratio < 1.0:
+        s = math.sqrt(1.0 - ratio)  # (l - g)/2 = -gamma/(1 + s): both exponents decay
+        inner = (0.5 * (1.0 + 1.0 / s) * math.exp(-gamma * t / (1.0 + s))
+                 + 0.5 * (1.0 - 1.0 / s) * math.exp(-0.5 * g * (1.0 + s) * t))
+    elif radicand >= 0:  # g == 2*gamma up to rounding
         inner = math.exp(-0.5 * g * t) * (1.0 + 0.5 * g * t)
     else:
         ell = math.sqrt(-radicand)
@@ -196,13 +212,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        required = {"none": (), "rtn": ("a", "gamma"), "oun": ("lam", "gamma"),
-                    "nmad": ("g", "gamma")}[self.family]
-        for name in required:
+        for name in FAMILY_PARAMS[self.family]:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"noise family {self.family!r} requires parameter {name!r}")
-            _check_positive(value, name)
+            _check_positive(value, param_key(self.family, name))
 
     @classmethod
     def none(cls) -> "NoiseSpec":

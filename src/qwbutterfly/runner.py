@@ -9,13 +9,13 @@ plus an aggregate summary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, build_butterfly, build_path, is_connected
+from .graphs import Graph, build_butterfly, build_path, is_connected, is_int, is_real
 from .metrics import average_fidelity, coherence_l1, fidelity_pure, fidelity_with_pure
 from .noise import NoiseSpec, apply_channel, apply_channel_mixed
 from .walk import RECEIVER_CONVENTIONS, WalkOperator, receiver_state, sender_state
@@ -38,14 +38,16 @@ class ScenarioConfig:
     fidelity series by one step.  noise_mode "snapshot" applies the
     channel evaluated at time t to the unitarily evolved state at t;
     "stepwise" compounds the channel after every step and is provided
-    for comparison only.
+    for comparison only.  The CLI takes its defaults and help text from
+    these field defaults.  run_scenario checks each field's type and range
+    (the graph only for connectivity) and names the field in any ConfigError.
     """
 
     graph: Graph
     sender: int
     receiver: int
     steps: int = 200
-    noise: NoiseSpec = field(default_factory=NoiseSpec.none)
+    noise: NoiseSpec = NoiseSpec()
     receiver_convention: str = "outgoing"
     noise_mode: str = "snapshot"
     peak_threshold: float = 0.8
@@ -91,6 +93,9 @@ class ScenarioResult:
 
 def _validate_config(cfg: ScenarioConfig) -> None:
     g = cfg.graph
+    for name in ("sender", "receiver", "steps"):
+        if not is_int(getattr(cfg, name)):
+            raise ConfigError(f"{name}: must be an integer, got {getattr(cfg, name)!r}")
     if not (0 <= cfg.sender < g.n):
         raise ConfigError(f"sender: vertex {cfg.sender} out of range [0, {g.n})")
     if not (0 <= cfg.receiver < g.n):
@@ -103,6 +108,11 @@ def _validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"receiver_convention: unknown value {cfg.receiver_convention!r}")
     if cfg.noise_mode not in NOISE_MODES:
         raise ConfigError(f"noise_mode: unknown value {cfg.noise_mode!r}")
+    if not isinstance(cfg.noise, NoiseSpec):
+        raise ConfigError(f"noise: must be a NoiseSpec, got {cfg.noise!r}")
+    if not (is_real(cfg.peak_threshold) and 0 <= cfg.peak_threshold <= 1):
+        raise ConfigError(
+            f"peak_threshold: must be a number in [0, 1], got {cfg.peak_threshold!r}")
     if g.n < 2 or not is_connected(g):
         raise ConfigError("graph: walk scenarios need a connected graph on >= 2 vertices")
 
@@ -172,28 +182,22 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                           summary=summary)
 
 
-def sweep_placements(graph: Graph, steps: int = 200,
-                     noise: Optional[NoiseSpec] = None,
-                     receiver_convention: str = "outgoing",
-                     noise_mode: str = "snapshot",
-                     peak_threshold: float = 0.8) -> list[RunSummary]:
+def sweep_placements(graph: Graph, **fields) -> list[RunSummary]:
     """Run every ordered (sender, receiver) pair and rank the summaries.
 
+    `fields` are the other ScenarioConfig fields, shared by every run.
     Both orderings of each pair are run: the marked-coin signs are
     symmetric but the sender and receiver states are not.  Results are
     sorted by average fidelity descending, ties broken by (s, r).
     """
     if graph.n < 2:
         raise ConfigError("graph: placement sweep needs at least 2 vertices")
-    noise = noise if noise is not None else NoiseSpec.none()
     summaries = []
     for s in range(graph.n):
         for r in range(graph.n):
             if s == r:
                 continue
-            cfg = ScenarioConfig(graph=graph, sender=s, receiver=r, steps=steps,
-                                 noise=noise, receiver_convention=receiver_convention,
-                                 noise_mode=noise_mode, peak_threshold=peak_threshold)
+            cfg = ScenarioConfig(graph=graph, sender=s, receiver=r, **fields)
             summaries.append(run_scenario(cfg).summary)
     summaries.sort(key=lambda rs: (-rs.average_fidelity, rs.sender, rs.receiver))
     return summaries
@@ -249,7 +253,7 @@ REFERENCE_TABLES: tuple[ReferenceTable, ...] = (
 )
 
 
-def evaluate_reference_tables(steps: int = 200, receiver_convention: str = "outgoing"
+def evaluate_reference_tables(*, steps: int, receiver_convention: str
                               ) -> list[tuple[ReferenceTable, list[tuple[int, int, float, float, float]]]]:
     """Recompute every reference-table row and report the residuals.
 

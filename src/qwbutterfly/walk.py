@@ -94,13 +94,13 @@ def sender_state(graph: Graph, basis: ArcBasis, sender: int) -> np.ndarray:
 
 
 def receiver_state(graph: Graph, basis: ArcBasis, receiver: int,
-                   convention: str = "incoming") -> np.ndarray:
+                   convention: str = "outgoing") -> np.ndarray:
     """Uniform superposition over the receiver's arcs.
 
     convention="incoming" uses the arcs (q, r) pointing into the receiver;
     convention="outgoing" uses the arcs (r, q) leaving it.  The two give
-    fidelity series shifted by one step relative to each other; scenario
-    runs default to "outgoing", which reproduces the reference tables.
+    fidelity series shifted by one step relative to each other; "outgoing",
+    the scenario default, reproduces the reference tables.
     """
     if convention not in RECEIVER_CONVENTIONS:
         raise ValueError(f"unknown receiver convention {convention!r}")

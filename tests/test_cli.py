@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
-from qwbutterfly import NoiseDomainError, build_path, write_edge_list
+from qwbutterfly import NoiseDomainError, ScenarioConfig, build_path, write_edge_list
 from qwbutterfly.cli import main
+from qwbutterfly.noise import FAMILY_PARAMS, param_key
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,56 @@ def test_scenario_file_rejects_unknown_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--scenario", str(spath), "--seed-path", "2")
     assert code == 2
     assert "walker" in err
+
+
+@pytest.mark.parametrize("field,file_fields,flags", [
+    ("noise", {"noise": "bogus"}, []),
+    ("noise", {"noise": ["rtn"]}, []),
+    ("steps", {"steps": 2.7}, []),
+    ("wings", {"wings": 1.9}, []),
+    ("seed_path", {"seed_path": 2.0}, []),
+    ("seed_path", {"seed_path": True}, []),
+    ("graph_file", {"seed_path": None, "graph_file": 3}, []),
+    ("sender", {"sender": True}, []),
+    ("receiver", {"receiver": "1"}, []),
+    ("rtn.a", {"noise": "rtn", "rtn.a": "0.2"}, []),
+    ("rtn.a", {}, ["--noise", "rtn", "--rtn-a", "inf"]),
+    ("oun.lambda", {"noise": "oun", "oun.lambda": float("nan")}, []),
+    ("peak_threshold", {}, ["--peak-threshold", "nan"]),
+    ("peak_threshold", {}, ["--peak-threshold", "1.5"]),
+])
+def test_bad_scenario_values_are_config_errors(capsys, tmp_path, field, file_fields, flags):
+    scenario = {"seed_path": 2, "wings": 1, "sender": 0, "receiver": 2, "steps": 20}
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps({**scenario, **file_fields}))
+    code, _, err = run_cli(capsys, "run", "--scenario", str(spath), *flags)
+    assert code == 2, err
+    assert field in err
+
+
+def test_run_help_defaults_come_from_the_schema(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    shown = {}
+    for chunk in re.split(r" (?=--[a-z])", text):
+        match = re.search(r"\(default ([^)]+)\)", chunk)
+        if match:
+            shown[chunk.split()[0]] = match.group(1)
+    expected = {
+        "--wings": 0,  # graph option, not a ScenarioConfig field
+        "--steps": ScenarioConfig.steps,
+        "--noise": ScenarioConfig.noise.family,
+        "--receiver-convention": ScenarioConfig.receiver_convention,
+        "--noise-mode": ScenarioConfig.noise_mode,
+        "--peak-threshold": ScenarioConfig.peak_threshold,
+    }
+    for family, params in FAMILY_PARAMS.items():
+        for name, value in params.items():
+            expected["--" + param_key(family, name).replace(".", "-")] = value
+    assert set(shown) == set(expected)
+    for flag, value in expected.items():
+        assert shown[flag] == (f"{value:g}" if isinstance(value, float) else str(value)), flag
 
 
 def test_dump_operators(capsys):

@@ -118,6 +118,13 @@ def test_nmad_damping_matches_complex_oracle(params):
         assert nmad_damping(*params, t) == pytest.approx(_nmad_oracle(*params, t), abs=1e-12)
 
 
+@pytest.mark.parametrize("g", [1e12, 1e150, 1e300])
+def test_nmad_damping_reaches_markov_limit_at_large_width(g):
+    gamma = 5.0
+    for t in [0.0, 0.1, 1.0, 2.0, 200.0]:
+        assert nmad_damping(g, gamma, t) == pytest.approx(1.0 - math.exp(-gamma * t), abs=1e-9)
+
+
 def test_nmad_imaginary_rate_magnitude():
     g, gamma = NMAD_PARAMS
     assert g * g - 2.0 * gamma * g < 0
@@ -260,6 +267,11 @@ def test_noise_spec_validation():
         NoiseSpec(family="rtn", a=0.1)
     with pytest.raises(ValueError, match="> 0"):
         NoiseSpec.oun(-1.0, 0.05)
+    for bad in (math.inf, math.nan, "0.2", True):
+        with pytest.raises(ValueError, match="rtn.a"):
+            NoiseSpec.rtn(bad, 0.01)
+    with pytest.raises(ValueError, match="oun.lambda"):
+        NoiseSpec.oun(math.inf, 0.05)
 
 
 def test_rtn_non_markovian_flag():

@@ -44,6 +44,13 @@ def test_summary_of_noiseless_run_equals_noisy_columns():
     ("steps", dict(sender=0, receiver=1, steps=0)),
     ("receiver_convention", dict(sender=0, receiver=1, receiver_convention="both")),
     ("noise_mode", dict(sender=0, receiver=1, noise_mode="never")),
+    ("steps", dict(sender=0, receiver=1, steps=2.5)),
+    ("sender", dict(sender=True, receiver=2)),
+    ("receiver", dict(sender=0, receiver="1")),
+    ("peak_threshold", dict(sender=0, receiver=1, peak_threshold=float("nan"))),
+    ("peak_threshold", dict(sender=0, receiver=1, peak_threshold=1.5)),
+    ("peak_threshold", dict(sender=0, receiver=1, peak_threshold="0.5")),
+    ("noise", dict(sender=0, receiver=1, noise="rtn")),
 ])
 def test_config_errors_name_the_field(field, cfg_kwargs):
     cfg = ScenarioConfig(graph=B1, **cfg_kwargs)

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from qwbutterfly import (
     ArcBasis,
+    ScenarioConfig,
     WalkOperator,
     assemble_coin,
     assemble_shift,
@@ -198,6 +201,14 @@ def test_receiver_state_conventions():
 def test_receiver_state_rejects_unknown_convention():
     with pytest.raises(ValueError, match="convention"):
         receiver_state(B2, ArcBasis(B2), 5, "sideways")
+
+
+def test_receiver_state_default_matches_scenario_default():
+    default = inspect.signature(receiver_state).parameters["convention"].default
+    assert default == ScenarioConfig.receiver_convention
+    basis = ArcBasis(B2)
+    np.testing.assert_array_equal(receiver_state(B2, basis, 5),
+                                  receiver_state(B2, basis, 5, default))
 
 
 def test_states_reject_isolated_vertex():
