@@ -183,6 +183,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     for field in ("sender", "receiver"):
         if field not in opts:
             raise ConfigError(f"{field}: required (flag --{field} or scenario file)")
+    for field in ("out_csv", "out_json"):
+        if not isinstance(opts.get(field, ""), str):
+            raise ConfigError(f"{field}: must be a path string, got {opts[field]!r}")
     cfg = ScenarioConfig(graph=graph, **_scenario_fields(opts))
     result = run_scenario(cfg)
     if args.dump_operators:

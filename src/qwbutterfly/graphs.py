@@ -68,7 +68,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return ((u, v) if u < v else (v, u)) in set(self.edges)
+        return v in self._adjacency[u]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

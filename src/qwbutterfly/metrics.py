@@ -80,12 +80,12 @@ def average_fidelity(values) -> float:
 def coherence_l1(state: np.ndarray) -> float:
     """l1-norm coherence: sum of |rho_ij| over the off-diagonal entries.
 
-    Pure states (1-d arrays) are promoted to the projector |psi><psi|.
+    For a pure state (1-d array) that is (sum |psi_i|)^2 - sum |psi_i|^2.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    elif state.ndim != 2 or state.shape[0] != state.shape[1]:
+        return float(np.abs(state).sum() ** 2 - np.vdot(state, state).real)
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
         raise ValueError(f"expected a state vector or square matrix, got shape {state.shape}")
     mags = np.abs(state)
     return float(mags.sum() - np.trace(mags))

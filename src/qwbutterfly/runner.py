@@ -93,6 +93,8 @@ class ScenarioResult:
 
 def _validate_config(cfg: ScenarioConfig) -> None:
     g = cfg.graph
+    if not isinstance(g, Graph):
+        raise ConfigError(f"graph: must be a Graph, got {g!r}")
     for name in ("sender", "receiver", "steps"):
         if not is_int(getattr(cfg, name)):
             raise ConfigError(f"{name}: must be an integer, got {getattr(cfg, name)!r}")
@@ -158,7 +160,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     noiseless = cfg.noise.family == "none" and cfg.noise_mode == "snapshot"
     rho = np.outer(psi, psi.conj()) if cfg.noise_mode == "stepwise" else None
     for t in range(1, T + 1):
-        psi = walk.evolution @ psi
+        psi = walk.step(psi)
         fid[t - 1] = fidelity_pure(psi, target)
         coh[t - 1] = coherence_l1(psi)
         if noiseless:
@@ -170,7 +172,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         if cfg.noise_mode == "snapshot":
             rho_t = apply_channel(kraus, psi)
         else:
-            rho = apply_channel_mixed(kraus, walk.evolution @ rho @ walk.evolution.conj().T)
+            # U rho U^dag, since U is real
+            rho = apply_channel_mixed(kraus, walk.step(walk.step(rho).T).T)
             rho_t = rho
         fid_noisy[t - 1] = fidelity_with_pure(rho_t, target)
         coh_noisy[t - 1] = coherence_l1(rho_t)

@@ -1,4 +1,4 @@
-"""Arc-space operators for coined quantum walks.
+"""Arc-space walk for coined quantum walks.
 
 The walker lives on the 2m directed arcs of a simple graph.  One step is
 U = S @ C where C applies a Grover reflection block per vertex (negated at
@@ -8,6 +8,7 @@ the marked sender and receiver) and S reverses every arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,22 +23,20 @@ class ArcBasis:
     Arcs are sorted by (tail, head), i.e. grouped by tail vertex ascending
     with heads ascending inside each group.  This makes the coin operator
     block diagonal with one d(v) x d(v) block per vertex v, and fixes the
-    computational basis so runs are reproducible bit for bit.
+    computational basis so runs are reproducible bit for bit.  Arc i runs
+    from `tail[i]` and `reverse[i]` is the index of its reversal.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        arcs = []
-        for tail in range(graph.n):
-            arcs.extend((tail, head) for head in graph.neighbors(tail))
-        self.arcs: tuple[tuple[int, int], ...] = tuple(arcs)
-        self.index: dict[tuple[int, int], int] = {a: i for i, a in enumerate(arcs)}
+        self.arcs: tuple[tuple[int, int], ...] = tuple(
+            (tail, head) for tail in range(graph.n) for head in graph.neighbors(tail))
+        self.index: dict[tuple[int, int], int] = {a: i for i, a in enumerate(self.arcs)}
+        self.tail = np.array([t for t, _ in self.arcs], dtype=np.intp)
+        self.reverse = np.array([self.index[(h, t)] for t, h in self.arcs], dtype=np.intp)
 
     @property
     def dim(self) -> int:
-        return len(self.arcs)
-
-    def __len__(self) -> int:
         return len(self.arcs)
 
 
@@ -53,12 +52,16 @@ def grover_coin(d: int) -> np.ndarray:
     return np.full((d, d), 2.0 / d) - np.eye(d)
 
 
-def assemble_coin(graph: Graph, basis: ArcBasis, sender: int, receiver: int) -> np.ndarray:
-    """Block-diagonal coin with the sender and receiver blocks negated."""
+def _check_marks(graph: Graph, sender: int, receiver: int) -> None:
     graph._check_vertex(sender)
     graph._check_vertex(receiver)
     if sender == receiver:
         raise ValueError("sender and receiver must be distinct vertices")
+
+
+def assemble_coin(graph: Graph, basis: ArcBasis, sender: int, receiver: int) -> np.ndarray:
+    """Block-diagonal coin with the sender and receiver blocks negated."""
+    _check_marks(graph, sender, receiver)
     dim = basis.dim
     coin = np.zeros((dim, dim), dtype=complex)
     offset = 0
@@ -74,23 +77,14 @@ def assemble_coin(graph: Graph, basis: ArcBasis, sender: int, receiver: int) -> 
 
 def assemble_shift(basis: ArcBasis) -> np.ndarray:
     """Permutation matrix reversing every arc: S|(i,j)> = |(j,i)>."""
-    dim = basis.dim
-    shift = np.zeros((dim, dim), dtype=complex)
-    for (i, j), col in basis.index.items():
-        shift[basis.index[(j, i)], col] = 1.0
+    shift = np.zeros((basis.dim, basis.dim), dtype=complex)
+    shift[basis.reverse, np.arange(basis.dim)] = 1.0
     return shift
 
 
 def sender_state(graph: Graph, basis: ArcBasis, sender: int) -> np.ndarray:
     """Uniform superposition over the arcs leaving the sender vertex."""
-    d = graph.degree(sender)
-    if d == 0:
-        raise ValueError(f"vertex {sender} is isolated; no outgoing arcs")
-    psi = np.zeros(basis.dim, dtype=complex)
-    amp = 1.0 / np.sqrt(d)
-    for head in graph.neighbors(sender):
-        psi[basis.index[(sender, head)]] = amp
-    return psi
+    return receiver_state(graph, basis, sender, "outgoing")
 
 
 def receiver_state(graph: Graph, basis: ArcBasis, receiver: int,
@@ -106,53 +100,68 @@ def receiver_state(graph: Graph, basis: ArcBasis, receiver: int,
         raise ValueError(f"unknown receiver convention {convention!r}")
     d = graph.degree(receiver)
     if d == 0:
-        raise ValueError(f"vertex {receiver} is isolated; no arcs to receive on")
-    psi = np.zeros(basis.dim, dtype=complex)
-    amp = 1.0 / np.sqrt(d)
-    for q in graph.neighbors(receiver):
-        arc = (q, receiver) if convention == "incoming" else (receiver, q)
-        psi[basis.index[arc]] = amp
-    return psi
+        raise ValueError(f"vertex {receiver} is isolated; it has no arcs")
+    psi = np.where(basis.tail == receiver, 1.0 / np.sqrt(d), 0j)
+    return psi[basis.reverse] if convention == "incoming" else psi
 
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """Coin, shift and one-step evolution U = S @ C for one scenario.
+    """The one-step evolution U = S @ C of one scenario, kept as arc arrays.
 
-    Matrices are marked read-only; instances may be shared across threads.
+    `step` applies U in O(dim).  The dense `coin`, `shift` and `evolution`
+    matrices are built on first access, for inspection and as the test
+    oracle, and are read-only; instances may be shared across threads.
     """
 
     basis: ArcBasis
-    coin: np.ndarray
-    shift: np.ndarray
-    evolution: np.ndarray
     sender: int
     receiver: int
+    sign: np.ndarray      # -1 on the arcs leaving the sender or receiver, else +1
+    starts: np.ndarray    # first arc of each vertex that has arcs
+    degrees: np.ndarray   # number of arcs from each of those vertices
 
     @classmethod
-    def assemble(cls, graph: Graph, sender: int, receiver: int,
-                 basis: ArcBasis | None = None) -> "WalkOperator":
-        basis = basis if basis is not None else ArcBasis(graph)
-        coin = assemble_coin(graph, basis, sender, receiver)
-        shift = assemble_shift(basis)
-        evolution = shift @ coin
-        for mat in (coin, shift, evolution):
-            mat.setflags(write=False)
-        return cls(basis=basis, coin=coin, shift=shift, evolution=evolution,
-                   sender=sender, receiver=receiver)
+    def assemble(cls, graph: Graph, sender: int, receiver: int) -> "WalkOperator":
+        basis = ArcBasis(graph)
+        _check_marks(graph, sender, receiver)
+        sign = np.where(np.isin(basis.tail, (sender, receiver)), -1.0, 1.0)
+        _, starts, degrees = np.unique(basis.tail, return_index=True, return_counts=True)
+        return cls(basis, sender, receiver, sign, starts, degrees)
+
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        """U applied along the last axis: reflect each vertex's arcs about
+        their mean, apply the marked sign, then reverse every arc."""
+        means = np.add.reduceat(psi, self.starts, axis=-1) / self.degrees
+        coined = self.sign * (2.0 * np.repeat(means, self.degrees, axis=-1) - psi)
+        return coined.take(self.basis.reverse, axis=-1)
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        return _read_only(assemble_coin(self.basis.graph, self.basis, self.sender,
+                                        self.receiver))
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return _read_only(assemble_shift(self.basis))
+
+    @cached_property
+    def evolution(self) -> np.ndarray:
+        return _read_only(self.shift @ self.coin)
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
 
 
 def evolve(walk: WalkOperator, psi0: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the evolution operator `steps` times to a pure state.
-
-    Repeated matrix-vector products rather than a matrix power; cheaper
-    and numerically tighter at these dimensions.
-    """
+    """Apply the evolution operator `steps` times to a pure state."""
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (walk.basis.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.basis.dim},)")
     for _ in range(steps):
-        psi = walk.evolution @ psi
+        psi = walk.step(psi)
     return psi

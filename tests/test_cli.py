@@ -126,6 +126,8 @@ def test_scenario_file_rejects_unknown_field(capsys, tmp_path):
     ("oun.lambda", {"noise": "oun", "oun.lambda": float("nan")}, []),
     ("peak_threshold", {}, ["--peak-threshold", "nan"]),
     ("peak_threshold", {}, ["--peak-threshold", "1.5"]),
+    ("out_csv", {"out_csv": 5}, []),
+    ("out_json", {"out_json": ["x"]}, []),
 ])
 def test_bad_scenario_values_are_config_errors(capsys, tmp_path, field, file_fields, flags):
     scenario = {"seed_path": 2, "wings": 1, "sender": 0, "receiver": 2, "steps": 20}

@@ -142,8 +142,10 @@ def test_coherence_invariant_under_diagonal_phases():
     assert coherence_l1(rotated) == pytest.approx(coherence_l1(rho), abs=1e-12)
 
 
-def test_coherence_pure_matches_projector():
+@pytest.mark.parametrize("dim", [4, 34, 254])
+def test_coherence_pure_matches_projector(dim):
     rng = np.random.default_rng(16)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    assert coherence_l1(psi) == pytest.approx(coherence_l1(np.outer(psi, psi.conj())))
+    assert coherence_l1(psi) == pytest.approx(coherence_l1(np.outer(psi, psi.conj())),
+                                              rel=1e-12, abs=0)

@@ -8,15 +8,22 @@ from qwbutterfly import (
     Graph,
     NoiseSpec,
     ScenarioConfig,
+    WalkOperator,
+    apply_channel_mixed,
     build_butterfly,
     build_path,
+    coherence_l1,
     export,
     export_sweep,
+    fidelity_with_pure,
+    receiver_state,
     rtn_modulation,
     run_scenario,
+    sender_state,
     summarize,
     sweep_placements,
 )
+from qwbutterfly import walk as walk_mod
 from qwbutterfly.runner import CSV_HEADER
 
 P2 = build_path(2)
@@ -62,6 +69,11 @@ def test_disconnected_graph_is_rejected():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(ConfigError, match="graph"):
         run_scenario(ScenarioConfig(graph=g, sender=0, receiver=2))
+
+
+def test_non_graph_is_a_config_error():
+    with pytest.raises(ConfigError, match="graph"):
+        run_scenario(ScenarioConfig(graph="x", sender=0, receiver=1))
 
 
 def test_receiver_conventions_are_one_step_apart():
@@ -135,6 +147,37 @@ def test_stepwise_mode_differs_from_snapshot():
     np.testing.assert_array_equal(snap.fidelity, comp.fidelity)
     assert not np.allclose(snap.fidelity_noisy, comp.fidelity_noisy)
     assert np.all(comp.fidelity_noisy >= -1e-12)
+
+
+@pytest.mark.parametrize("spec", [NoiseSpec.rtn(0.1, 0.01), NoiseSpec.oun(1.0, 0.05),
+                                  NoiseSpec.nmad(0.3, 0.05)], ids=lambda s: s.family)
+def test_stepwise_series_match_dense_recomputation(spec):
+    steps = 60
+    res = run_scenario(ScenarioConfig(graph=B3_P2, sender=5, receiver=6, steps=steps,
+                                      noise=spec, noise_mode="stepwise"))
+    walk = WalkOperator.assemble(B3_P2, 5, 6)
+    u = np.array(walk.evolution)
+    psi = sender_state(B3_P2, walk.basis, 5)
+    target = receiver_state(B3_P2, walk.basis, 6)
+    rho = np.outer(psi, psi.conj())
+    for t in range(1, steps + 1):
+        rho = apply_channel_mixed(spec.kraus(t, walk.basis.dim), u @ rho @ u.conj().T)
+        assert abs(res.fidelity_noisy[t - 1] - fidelity_with_pure(rho, target)) <= 1e-12
+        assert abs(res.coherence_noisy[t - 1] - coherence_l1(rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,mode", [(NoiseSpec(), "snapshot"),
+                                       (NoiseSpec.oun(1.0, 0.05), "snapshot"),
+                                       (NoiseSpec.oun(1.0, 0.05), "stepwise")])
+def test_run_builds_no_dense_walk_matrix(monkeypatch, spec, mode):
+    def refuse(*args):
+        raise AssertionError("dense walk matrix built on the hot path")
+
+    monkeypatch.setattr(walk_mod, "assemble_coin", refuse)
+    monkeypatch.setattr(walk_mod, "assemble_shift", refuse)
+    res = run_scenario(ScenarioConfig(graph=B3_P2, sender=5, receiver=6, steps=50,
+                                      noise=spec, noise_mode=mode))
+    assert res.fidelity.shape == (50,)
 
 
 def test_export_csv_and_json(tmp_path):

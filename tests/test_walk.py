@@ -254,6 +254,32 @@ def test_operator_invariants(graph, s, r):
     assert np.max(np.abs(walk.shift @ walk.shift - eye)) < 1e-12
 
 
+@pytest.mark.parametrize("graph,s,r", [
+    (P2, 0, 1), (B1, 1, 2), (B2, 2, 5), (B3_P2, 5, 6), (B3_P3, 5, 6),
+])
+def test_step_matches_dense_evolution_at_every_step(graph, s, r):
+    walk = WalkOperator.assemble(graph, s, r)
+    fast = dense = sender_state(graph, walk.basis, s)
+    for _ in range(200):
+        fast = walk.step(fast)
+        dense = walk.evolution @ dense
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+def test_step_acts_on_the_last_axis():
+    walk = WalkOperator.assemble(B3_P3, 5, 6)
+    rng = np.random.default_rng(3)
+    rho = rng.normal(size=(walk.basis.dim, walk.basis.dim)) + 0j
+    np.testing.assert_allclose(walk.step(rho), rho @ walk.evolution.T, rtol=0, atol=1e-12)
+
+
+def test_dense_matrices_are_built_on_first_access_only():
+    walk = WalkOperator.assemble(B2, 2, 5)
+    assert not {"coin", "shift", "evolution"} & set(vars(walk))
+    assert walk.evolution is walk.evolution
+    np.testing.assert_array_equal(walk.evolution, walk.shift @ walk.coin)
+
+
 def test_norm_preserved_over_long_walks():
     walk = WalkOperator.assemble(B3_P3, 5, 6)
     psi = evolve(walk, sender_state(B3_P3, walk.basis, 5), 1000)
