@@ -9,9 +9,9 @@ plus an aggregate summary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,13 @@ from .walk import RECEIVER_CONVENTIONS, WalkOperator, receiver_state, sender_sta
 NOISE_MODES = ("snapshot", "stepwise")
 
 CSV_HEADER = "t,fidelity,coherence,fidelity_noisy,coherence_noisy"
+
+# Sweep averages that agree to this many decimals rank as ties, by (s, r).
+TIE_DECIMALS = 12
+
+# Bytes of walk states one batch of pairs may hold (16 dim per pair, or
+# 16 dim^2 in stepwise mode); longer pair lists run in chunks.
+BATCH_STATE_BYTES = 32 * 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -51,6 +58,11 @@ class ScenarioConfig:
     receiver_convention: str = "outgoing"
     noise_mode: str = "snapshot"
     peak_threshold: float = 0.8
+
+
+# The ScenarioConfig fields every pair of a sweep shares.
+_SHARED_FIELDS = frozenset(f.name for f in dataclass_fields(ScenarioConfig)) - {
+    "graph", "sender", "receiver"}
 
 
 @dataclass
@@ -91,19 +103,29 @@ class ScenarioResult:
     summary: RunSummary
 
 
-def _validate_config(cfg: ScenarioConfig) -> None:
-    g = cfg.graph
+def _check_graph(g) -> None:
     if not isinstance(g, Graph):
         raise ConfigError(f"graph: must be a Graph, got {g!r}")
-    for name in ("sender", "receiver", "steps"):
-        if not is_int(getattr(cfg, name)):
-            raise ConfigError(f"{name}: must be an integer, got {getattr(cfg, name)!r}")
-    if not (0 <= cfg.sender < g.n):
-        raise ConfigError(f"sender: vertex {cfg.sender} out of range [0, {g.n})")
-    if not (0 <= cfg.receiver < g.n):
-        raise ConfigError(f"receiver: vertex {cfg.receiver} out of range [0, {g.n})")
-    if cfg.sender == cfg.receiver:
+
+
+def _check_pair(g: Graph, sender, receiver) -> None:
+    for name, value in (("sender", sender), ("receiver", receiver)):
+        if not is_int(value):
+            raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if not (0 <= sender < g.n):
+        raise ConfigError(f"sender: vertex {sender} out of range [0, {g.n})")
+    if not (0 <= receiver < g.n):
+        raise ConfigError(f"receiver: vertex {receiver} out of range [0, {g.n})")
+    if sender == receiver:
         raise ConfigError("receiver: must differ from sender")
+
+
+def _validate_config(cfg: ScenarioConfig) -> None:
+    g = cfg.graph
+    _check_graph(g)
+    _check_pair(g, cfg.sender, cfg.receiver)
+    if not is_int(cfg.steps):
+        raise ConfigError(f"steps: must be an integer, got {cfg.steps!r}")
     if cfg.steps < 1:
         raise ConfigError(f"steps: horizon must be >= 1, got {cfg.steps}")
     if cfg.receiver_convention not in RECEIVER_CONVENTIONS:
@@ -185,24 +207,86 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                           summary=summary)
 
 
-def sweep_placements(graph: Graph, **fields) -> list[RunSummary]:
+def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
+               ) -> list[RunSummary]:
+    """Summaries of the scenarios of several (sender, receiver) pairs on one graph.
+
+    Gives what run_scenario(...).summary gives for each pair, to 1e-12, from
+    one batched walk: one assembly and one full validation per graph (plus
+    each pair's own checks), the k pairs stepped as one (k, dim) state array
+    (a density batch in stepwise mode), one Kraus set per step shared by the
+    batch, and no coherence series.  `fields` are the other ScenarioConfig
+    fields, shared by every pair.  At most BATCH_STATE_BYTES of states are
+    held at once; longer pair lists run in chunks.
+    """
+    cfg = ScenarioConfig(graph, *pairs[0], **fields)
+    _validate_config(cfg)
+    for s, r in pairs[1:]:
+        _check_pair(graph, s, r)
+    walk = WalkOperator.assemble(graph, *pairs[0])
+    state_bytes = 16 * walk.basis.dim ** (2 if cfg.noise_mode == "stepwise" else 1)
+    chunk = max(1, BATCH_STATE_BYTES // state_bytes)
+    fid = np.concatenate([_batch_fidelity(walk, cfg, pairs[i:i + chunk])
+                          for i in range(0, len(pairs), chunk)])
+    return [summarize(series, s, r, cfg.peak_threshold, cfg.noise.family)
+            for series, (s, r) in zip(fid, pairs)]
+
+
+def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
+                    pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Noisy fidelity series of each pair, shape (k, steps); the step and
+    channel arithmetic is run_scenario's, applied to the whole batch."""
+    graph, basis = cfg.graph, walk.basis
+    batch = walk.for_pairs(*zip(*pairs))
+    psi = np.stack([sender_state(graph, basis, s) for s, _ in pairs])
+    target = np.stack([receiver_state(graph, basis, r, cfg.receiver_convention)
+                       for _, r in pairs])
+    bra = target.conj()
+    stepwise = cfg.noise_mode == "stepwise"
+    noiseless = cfg.noise.family == "none" and not stepwise
+    if stepwise:
+        # rho[i, k, j] = psi_k[i] psi_k[j]^*: with the pair axis in the middle,
+        # .T swaps the two arc axes and keeps the pairs, as in run_scenario
+        rho = np.einsum("ki,kj->ikj", psi, psi.conj())
+    fid = np.empty((len(pairs), cfg.steps))
+    for t in range(1, cfg.steps + 1):
+        if noiseless:
+            psi = batch.step(psi)
+            fid[:, t - 1] = np.abs(np.einsum("kd,kd->k", bra, psi)) ** 2
+            continue
+        kraus = cfg.noise.kraus(t, basis.dim)
+        if stepwise:
+            rho = batch.step(batch.step(rho).T).T
+            rho = sum(np.tensordot(op, rho @ op.conj().T, axes=1) for op in kraus.operators)
+            fid[:, t - 1] = np.einsum("ki,ikj,kj->k", bra, rho, target).real
+        else:
+            # F = sum_i |<target|K_i|psi>|^2
+            psi = batch.step(psi)
+            fid[:, t - 1] = sum(np.abs(np.einsum("kd,kd->k", bra, psi @ op.T)) ** 2
+                                for op in kraus.operators)
+    return fid
+
+
+def sweep_placements(graph: Graph, /, **fields) -> list[RunSummary]:
     """Run every ordered (sender, receiver) pair and rank the summaries.
 
-    `fields` are the other ScenarioConfig fields, shared by every run.
-    Both orderings of each pair are run: the marked-coin signs are
-    symmetric but the sender and receiver states are not.  Results are
-    sorted by average fidelity descending, ties broken by (s, r).
+    `fields` are the other ScenarioConfig fields, shared by every run; the
+    pairs run as one batch (see _run_pairs).  Both orderings of each pair are
+    run: the marked-coin signs are symmetric but the sender and receiver
+    states are not.  Results are sorted by average fidelity rounded to
+    TIE_DECIMALS decimals, descending, then by (s, r); the reported
+    averages are not rounded.
     """
+    for name in fields:
+        if name not in _SHARED_FIELDS:
+            raise ConfigError(f"{name}: not a field shared by every pair of the sweep")
+    _check_graph(graph)
     if graph.n < 2:
         raise ConfigError("graph: placement sweep needs at least 2 vertices")
-    summaries = []
-    for s in range(graph.n):
-        for r in range(graph.n):
-            if s == r:
-                continue
-            cfg = ScenarioConfig(graph=graph, sender=s, receiver=r, **fields)
-            summaries.append(run_scenario(cfg).summary)
-    summaries.sort(key=lambda rs: (-rs.average_fidelity, rs.sender, rs.receiver))
+    pairs = [(s, r) for s in range(graph.n) for r in range(graph.n) if s != r]
+    summaries = _run_pairs(graph, pairs, fields)
+    summaries.sort(key=lambda rs: (-round(rs.average_fidelity, TIE_DECIMALS),
+                                   rs.sender, rs.receiver))
     return summaries
 
 
@@ -266,11 +350,10 @@ def evaluate_reference_tables(*, steps: int, receiver_convention: str
     out = []
     for table in REFERENCE_TABLES:
         graph = build_butterfly(build_path(table.seed_path), table.wings)
-        rows = []
-        for s, r, expected in table.rows:
-            cfg = ScenarioConfig(graph=graph, sender=s, receiver=r, steps=steps,
-                                 receiver_convention=receiver_convention)
-            computed = run_scenario(cfg).summary.average_fidelity
-            rows.append((s, r, computed, expected, computed - expected))
+        pairs = [(s, r) for s, r, _ in table.rows]
+        summaries = _run_pairs(graph, pairs, dict(steps=steps,
+                                                  receiver_convention=receiver_convention))
+        rows = [(s, r, rs.average_fidelity, expected, rs.average_fidelity - expected)
+                for (s, r, expected), rs in zip(table.rows, summaries)]
         out.append((table, rows))
     return out

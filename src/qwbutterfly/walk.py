@@ -7,7 +7,7 @@ the marked sender and receiver) and S reverses every arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,6 +67,8 @@ def assemble_coin(graph: Graph, basis: ArcBasis, sender: int, receiver: int) -> 
     offset = 0
     for v in range(graph.n):
         d = graph.degree(v)
+        if d == 0:  # an isolated vertex has no arcs and so no block
+            continue
         block = grover_coin(d)
         if v in (sender, receiver):
             block = -block
@@ -80,6 +82,14 @@ def assemble_shift(basis: ArcBasis) -> np.ndarray:
     shift = np.zeros((basis.dim, basis.dim), dtype=complex)
     shift[basis.reverse, np.arange(basis.dim)] = 1.0
     return shift
+
+
+def _marked_sign(basis: ArcBasis, sender, receiver) -> np.ndarray:
+    """-1 on the arcs leaving the sender or receiver, else +1.  Marks given
+    as arrays of shape (k,) give one row per pair, shape (k, dim)."""
+    tail = basis.tail
+    hit = (tail == np.asarray(sender)[..., None]) | (tail == np.asarray(receiver)[..., None])
+    return np.where(hit, -1.0, 1.0)
 
 
 def sender_state(graph: Graph, basis: ArcBasis, sender: int) -> np.ndarray:
@@ -115,9 +125,10 @@ class WalkOperator:
     """
 
     basis: ArcBasis
-    sender: int
-    receiver: int
-    sign: np.ndarray      # -1 on the arcs leaving the sender or receiver, else +1
+    sender: int | np.ndarray    # k marks in a batch operator (see `for_pairs`)
+    receiver: int | np.ndarray
+    sign: np.ndarray      # -1 on the arcs leaving the sender or receiver, else +1;
+                          # one row per pair in a batch operator
     starts: np.ndarray    # first arc of each vertex that has arcs
     degrees: np.ndarray   # number of arcs from each of those vertices
 
@@ -125,9 +136,20 @@ class WalkOperator:
     def assemble(cls, graph: Graph, sender: int, receiver: int) -> "WalkOperator":
         basis = ArcBasis(graph)
         _check_marks(graph, sender, receiver)
-        sign = np.where(np.isin(basis.tail, (sender, receiver)), -1.0, 1.0)
         _, starts, degrees = np.unique(basis.tail, return_index=True, return_counts=True)
-        return cls(basis, sender, receiver, sign, starts, degrees)
+        return cls(basis, sender, receiver, _marked_sign(basis, sender, receiver), starts,
+                   degrees)
+
+    def for_pairs(self, senders, receivers) -> "WalkOperator":
+        """This walk with pair i's marks on row i: `step` then advances a
+        (k, dim) batch, or any (..., k, dim) stack of batches, in one call.
+
+        The marks are not checked here; the dense matrices need the scalar
+        marks of `assemble`.
+        """
+        senders, receivers = np.asarray(senders), np.asarray(receivers)
+        return replace(self, sender=senders, receiver=receivers,
+                       sign=_marked_sign(self.basis, senders, receivers))
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """U applied along the last axis: reflect each vertex's arcs about

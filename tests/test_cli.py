@@ -182,6 +182,29 @@ def test_sweep_lists_all_ordered_pairs(capsys, tmp_path):
     assert len(data) == 12
 
 
+def test_sweep_stepwise_mode(capsys, tmp_path):
+    from qwbutterfly import NoiseSpec, build_butterfly, run_scenario
+
+    paths = {mode: tmp_path / f"{mode}.json" for mode in ("snapshot", "stepwise")}
+    for mode, path in paths.items():
+        code, out, err = run_cli(capsys, "sweep", "--seed-path", "2", "--wings", "1",
+                                 "--steps", "40", "--noise", "oun", "--noise-mode", mode,
+                                 "--out-json", str(path))
+        assert code == 0, err
+        assert "noise oun; 12 ordered pairs" in out
+    snapshot, stepwise = (json.loads(p.read_text()) for p in paths.values())
+    assert len(stepwise) == 12
+    graph = build_butterfly(build_path(2), 1)
+    for entry in stepwise:
+        cfg = ScenarioConfig(graph=graph, sender=entry["sender"], receiver=entry["receiver"],
+                             steps=40, noise=NoiseSpec.oun(1.0, 0.05), noise_mode="stepwise")
+        want = run_scenario(cfg).summary.average_fidelity
+        assert abs(entry["average_fidelity"] - want) <= 1e-12
+    by_pair = {(e["sender"], e["receiver"]): e["average_fidelity"] for e in snapshot}
+    assert any(abs(e["average_fidelity"] - by_pair[(e["sender"], e["receiver"])]) > 1e-6
+               for e in stepwise)
+
+
 def test_tables_reports_small_residuals(capsys):
     code, out, _ = run_cli(capsys, "tables")
     assert code == 0

@@ -23,12 +23,14 @@ from qwbutterfly import (
     summarize,
     sweep_placements,
 )
+from qwbutterfly import runner as runner_mod
 from qwbutterfly import walk as walk_mod
-from qwbutterfly.runner import CSV_HEADER
+from qwbutterfly.runner import CSV_HEADER, TIE_DECIMALS, evaluate_reference_tables
 
 P2 = build_path(2)
 B1 = build_butterfly(P2, 1)
 B3_P2 = build_butterfly(P2, 3)
+B3_P3 = build_butterfly(build_path(3), 3)
 
 
 def test_p2_alternating_fidelity():
@@ -65,6 +67,14 @@ def test_config_errors_name_the_field(field, cfg_kwargs):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sender", 1), ("receiver", 1), ("graph", B1), ("sendr", 1),
+])
+def test_sweep_config_errors_name_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        sweep_placements(B1, **{field: value})
+
+
 def test_disconnected_graph_is_rejected():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(ConfigError, match="graph"):
@@ -74,6 +84,8 @@ def test_disconnected_graph_is_rejected():
 def test_non_graph_is_a_config_error():
     with pytest.raises(ConfigError, match="graph"):
         run_scenario(ScenarioConfig(graph="x", sender=0, receiver=1))
+    with pytest.raises(ConfigError, match="graph"):
+        sweep_placements("x")
 
 
 def test_receiver_conventions_are_one_step_apart():
@@ -117,6 +129,75 @@ def test_sweep_ranking_is_deterministic():
     # ties within equal averages fall back to (s, r) order
     avgs = [s.average_fidelity for s in first]
     assert avgs == sorted(avgs, reverse=True)
+
+
+def _rank(summaries):
+    return sorted(summaries, key=lambda rs: (-round(rs.average_fidelity, TIE_DECIMALS),
+                                             rs.sender, rs.receiver))
+
+
+def test_sweep_ranks_near_ties_by_sender_then_receiver():
+    summaries = sweep_placements(B3_P3)
+    near = [(a, b) for a, b in zip(summaries, summaries[1:])
+            if abs(a.average_fidelity - b.average_fidelity) <= 1e-12]
+    assert len(near) > 100
+    assert all((a.sender, a.receiver) < (b.sender, b.receiver) for a, b in near)
+    # the reported averages are not rounded; near ties differ in their last bits
+    assert any(a.average_fidelity != b.average_fidelity for a, b in near)
+    assert summaries == _rank(summaries)
+
+
+NOISES = [NoiseSpec(), NoiseSpec.rtn(0.1, 0.01), NoiseSpec.oun(1.0, 0.05),
+          NoiseSpec.nmad(0.3, 0.05)]
+
+
+@pytest.mark.parametrize("mode", ["snapshot", "stepwise"])
+@pytest.mark.parametrize("spec", NOISES, ids=lambda s: s.family)
+@pytest.mark.parametrize("graph", [B1, B3_P2], ids=["B1", "B3_P2"])
+def test_batched_sweep_matches_per_pair_runs(graph, spec, mode):
+    fields = dict(steps=40, noise=spec, noise_mode=mode, peak_threshold=0.3)
+    swept = sweep_placements(graph, **fields)
+    runs = {(s, r): run_scenario(ScenarioConfig(graph=graph, sender=s, receiver=r, **fields))
+            for s in range(graph.n) for r in range(graph.n) if s != r}
+    assert len(swept) == len(runs)
+    for got in swept:
+        res = runs[(got.sender, got.receiver)]
+        want, series = res.summary, res.fidelity_noisy
+        assert abs(got.average_fidelity - want.average_fidelity) <= 1e-12
+        assert abs(got.max_fidelity - want.max_fidelity) <= 1e-12
+        assert series[got.argmax_t - 1] >= want.max_fidelity - 1e-12
+        for t in set(got.peak_times) ^ set(want.peak_times):
+            assert abs(series[t - 1] - 0.3) <= 1e-12
+        assert (got.noise_family, got.peak_threshold) == (spec.family, 0.3)
+    ranked = _rank(res.summary for res in runs.values())
+    assert [(s.sender, s.receiver) for s in swept] == [(s.sender, s.receiver) for s in ranked]
+
+
+def test_sweep_in_chunks_matches_one_batch(monkeypatch):
+    fields = dict(steps=30, noise=NoiseSpec.rtn(0.1, 0.01), noise_mode="stepwise")
+    whole = sweep_placements(B3_P2, **fields)
+    monkeypatch.setattr(runner_mod, "BATCH_STATE_BYTES", 3 * 16 * 20 * 20)  # 3 pairs a chunk
+    assert sweep_placements(B3_P2, **fields) == whole
+
+
+def test_sweep_assembles_once_per_graph(monkeypatch):
+    calls = []
+    assemble = WalkOperator.assemble.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return assemble(cls, *args)
+
+    def refuse(cfg):
+        raise AssertionError("batched path fell back to run_scenario")
+
+    monkeypatch.setattr(WalkOperator, "assemble", classmethod(counted))
+    monkeypatch.setattr(runner_mod, "run_scenario", refuse)
+    assert len(sweep_placements(B3_P3, steps=20)) == 132
+    assert len(calls) == 1
+    calls.clear()
+    evaluate_reference_tables(steps=20, receiver_convention="outgoing")
+    assert len(calls) == len(runner_mod.REFERENCE_TABLES)
 
 
 def test_noisy_series_stays_close_where_kernel_is_near_one():
@@ -178,6 +259,19 @@ def test_run_builds_no_dense_walk_matrix(monkeypatch, spec, mode):
     res = run_scenario(ScenarioConfig(graph=B3_P2, sender=5, receiver=6, steps=50,
                                       noise=spec, noise_mode=mode))
     assert res.fidelity.shape == (50,)
+
+
+@pytest.mark.parametrize("spec,mode", [(NoiseSpec(), "snapshot"),
+                                       (NoiseSpec.oun(1.0, 0.05), "snapshot"),
+                                       (NoiseSpec.oun(1.0, 0.05), "stepwise")])
+def test_sweep_builds_no_dense_walk_matrix(monkeypatch, spec, mode):
+    def refuse(*args):
+        raise AssertionError("dense walk matrix built on the hot path")
+
+    monkeypatch.setattr(walk_mod, "assemble_coin", refuse)
+    monkeypatch.setattr(walk_mod, "assemble_shift", refuse)
+    summaries = sweep_placements(B3_P2, steps=20, noise=spec, noise_mode=mode)
+    assert len(summaries) == 56
 
 
 def test_export_csv_and_json(tmp_path):

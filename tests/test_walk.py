@@ -290,3 +290,26 @@ def test_walk_operator_matrices_are_read_only():
     walk = WalkOperator.assemble(P2, 0, 1)
     with pytest.raises(ValueError):
         walk.evolution[0, 0] = 5.0
+
+
+def test_dense_operators_skip_isolated_vertices():
+    from qwbutterfly import Graph
+    g = Graph(3, ((0, 1),))
+    walk = WalkOperator.assemble(g, 0, 1)
+    assert walk.coin.shape == (2, 2)
+    psi = np.array([0.6, 0.8j])
+    np.testing.assert_allclose(walk.evolution @ psi, walk.step(psi), rtol=0, atol=1e-15)
+
+
+def test_for_pairs_steps_each_row_under_its_own_marks():
+    pairs = [(5, 6), (0, 1), (6, 5), (2, 7)]
+    batch = WalkOperator.assemble(B3_P3, 0, 1).for_pairs(*zip(*pairs))
+    assert batch.sign.shape == (len(pairs), batch.basis.dim)
+    rng = np.random.default_rng(7)
+    shape = (len(pairs), batch.basis.dim)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stepped = batch.step(psi)
+    for row, (s, r) in enumerate(pairs):
+        single = WalkOperator.assemble(B3_P3, s, r)
+        np.testing.assert_array_equal(single.sign, batch.sign[row])
+        np.testing.assert_allclose(stepped[row], single.evolution @ psi[row], rtol=0, atol=1e-12)
