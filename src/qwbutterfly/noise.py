@@ -52,10 +52,14 @@ def _check_positive(value: float, name: str) -> float:
 
 
 def _check_time(t: float) -> float:
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"channel time must be >= 0, got {t}")
-    return t
+    if not (is_real(t) and math.isfinite(t) and t >= 0):
+        raise ValueError(f"channel time t must be a finite real number >= 0, got {t!r}")
+    return float(t)
+
+
+def _phases(u: int, d: int) -> np.ndarray:
+    """Diagonal of U_{u,0}: exp(2*pi*i*k*u/d) for k = 0..d-1."""
+    return np.exp(2j * np.pi * np.arange(d) * u / d)
 
 
 def weyl(u: int, v: int, d: int) -> np.ndarray:
@@ -71,7 +75,7 @@ def weyl(u: int, v: int, d: int) -> np.ndarray:
         raise ValueError(f"Weyl indices ({u}, {v}) out of range [0, {d})")
     k = np.arange(d)
     op = np.zeros((d, d), dtype=complex)
-    op[k, (k + v) % d] = np.exp(2j * np.pi * k * u / d)
+    op[k, (k + v) % d] = _phases(u, d)
     return op
 
 
@@ -139,41 +143,63 @@ def nmad_damping(g: float, gamma: float, t: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausSet:
-    """A complete family of Kraus operators evaluated at one time step."""
+    """A complete family of Kraus operators evaluated at one time step.
 
-    operators: tuple[np.ndarray, ...]
+    The operators are held as one read-only complex array `stack` of shape
+    (ops, dim, dim), which the channel functions apply by batched matrix
+    products; `operators` are its per-operator views.  A complex ndarray
+    stack is adopted without a copy and made read-only; other input is copied.
+    """
+
+    stack: np.ndarray
     t: float
 
-    def __post_init__(self) -> None:
-        for op in self.operators:
-            op.setflags(write=False)
+    def __init__(self, operators, t: float) -> None:
+        try:
+            stack = np.asarray(operators, dtype=complex)
+        except ValueError:  # operators of different shapes
+            stack = None
+        if stack is None or stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+            raise ValueError("Kraus operators must be one or more square matrices of one "
+                             f"dimension >= 1, got shapes {[np.shape(op) for op in operators]}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "t", t)
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.stack.shape[1]
 
 
 def identity_kraus(dim: int, t: float = 0.0) -> KrausSet:
     """The do-nothing channel; used when no noise family is active."""
-    return KrausSet((np.eye(dim, dtype=complex),), t)
+    _check_time(t)
+    return KrausSet(np.eye(dim, dtype=complex)[np.newaxis], t)
+
+
+def _dephasing_kraus(kernel: float, t: float, dim: int) -> KrausSet:
+    """sqrt((1+L)/2) U_{0,0} and sqrt((1-L)/2) U_{1,0}, written on two diagonals."""
+    stack = np.zeros((2, dim, dim), dtype=complex)
+    k = np.arange(dim)
+    stack[0, k, k] = math.sqrt(0.5 * (1.0 + kernel))
+    stack[1, k, k] = math.sqrt(0.5 * (1.0 - kernel)) * _phases(1, dim)
+    return KrausSet(stack, t)
 
 
 def rtn_kraus(a: float, gamma: float, t: float, dim: int) -> KrausSet:
     """Telegraph channel: sqrt((1+L)/2) U_{0,0} and sqrt((1-L)/2) U_{1,0}."""
-    lam = rtn_modulation(a, gamma, t)
-    k1 = math.sqrt(0.5 * (1.0 + lam)) * weyl(0, 0, dim)
-    k2 = math.sqrt(0.5 * (1.0 - lam)) * weyl(1, 0, dim)
-    return KrausSet((k1, k2), t)
+    return _dephasing_kraus(rtn_modulation(a, gamma, t), t, dim)
 
 
 def oun_kraus(lam: float, gamma: float, t: float, dim: int) -> KrausSet:
     """Ornstein-Uhlenbeck channel: same operator pair with kernel P(t)."""
-    p = oun_decay(lam, gamma, t)
-    k1 = math.sqrt(0.5 * (1.0 + p)) * weyl(0, 0, dim)
-    k2 = math.sqrt(0.5 * (1.0 - p)) * weyl(1, 0, dim)
-    return KrausSet((k1, k2), t)
+    return _dephasing_kraus(oun_decay(lam, gamma, t), t, dim)
 
 
 def nmad_kraus(g: float, gamma: float, t: float, dim: int) -> KrausSet:
@@ -183,15 +209,12 @@ def nmad_kraus(g: float, gamma: float, t: float, dim: int) -> KrausSet:
     K_j = sqrt(lam) |0><j|, where lam is the damped fraction at time t.
     """
     lam = nmad_damping(g, gamma, t)
-    diag = np.full(dim, math.sqrt(1.0 - lam), dtype=complex)
-    diag[0] = 1.0
-    ops = [np.diag(diag)]
-    root = math.sqrt(lam)
-    for j in range(1, dim):
-        kj = np.zeros((dim, dim), dtype=complex)
-        kj[0, j] = root
-        ops.append(kj)
-    return KrausSet(tuple(ops), t)
+    stack = np.zeros((dim, dim, dim), dtype=complex)
+    k = np.arange(dim)
+    stack[0, k, k] = math.sqrt(1.0 - lam)
+    stack[0, 0, 0] = 1.0
+    stack[k[1:], 0, k[1:]] = math.sqrt(lam)
+    return KrausSet(stack, t)
 
 
 @dataclass(frozen=True)
@@ -241,6 +264,10 @@ class NoiseSpec:
             raise ValueError("non-Markovian ratio is defined for the rtn family only")
         return self.a / self.gamma > 0.5
 
+    def kraus_count(self, dim: int) -> int:
+        """Number of operators in this channel's Kraus set on dim levels."""
+        return {"none": 1, "nmad": dim}.get(self.family, 2)
+
     def kraus(self, t: float, dim: int) -> KrausSet:
         """Kraus operators of this channel evaluated at time t."""
         if self.family == "none":
@@ -253,15 +280,15 @@ class NoiseSpec:
 
 
 def apply_channel(kraus: KrausSet, psi: np.ndarray) -> np.ndarray:
-    """Operator-sum action on a pure state: sum_i K_i |psi><psi| K_i^dag."""
+    """Operator-sum action on a pure state: sum_i K_i |psi><psi| K_i^dag.
+
+    With the rows of V the vectors K_i psi, this is V^T V^*.
+    """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (kraus.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({kraus.dim},)")
-    rho = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-    for op in kraus.operators:
-        vec = op @ psi
-        rho += np.outer(vec, vec.conj())
-    return rho
+    v = kraus.stack @ psi
+    return v.T @ v.conj()
 
 
 def apply_channel_mixed(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -269,15 +296,11 @@ def apply_channel_mixed(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (kraus.dim, kraus.dim):
         raise ValueError(f"density matrix has shape {rho.shape}, expected square of dim {kraus.dim}")
-    out = np.zeros_like(rho)
-    for op in kraus.operators:
-        out += op @ rho @ op.conj().T
-    return out
+    return (kraus.stack @ rho @ kraus.stack.conj().swapaxes(1, 2)).sum(0)
 
 
 def validate_cptp(kraus: KrausSet) -> float:
     """Max-entry residual of the completeness relation sum_i K_i^dag K_i = I."""
-    total = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-    for op in kraus.operators:
-        total += op.conj().T @ op
+    rows = kraus.stack.reshape(-1, kraus.dim)  # the K_i stacked on top of each other
+    total = rows.conj().T @ rows
     return float(np.max(np.abs(total - np.eye(kraus.dim))))

@@ -27,8 +27,9 @@ CSV_HEADER = "t,fidelity,coherence,fidelity_noisy,coherence_noisy"
 # Sweep averages that agree to this many decimals rank as ties, by (s, r).
 TIE_DECIMALS = 12
 
-# Bytes of walk states one batch of pairs may hold (16 dim per pair, or
-# 16 dim^2 in stepwise mode); longer pair lists run in chunks.
+# Bytes one batch of pairs may hold in its channel temporary, the (ops, k, dim)
+# array of K_i psi (16 ops dim per pair, or 16 ops dim^2 in stepwise mode,
+# with ops = 1 for the noiseless walk); longer pair lists run in chunks.
 BATCH_STATE_BYTES = 32 * 2 ** 20
 
 
@@ -190,12 +191,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             fid_noisy[t - 1] = fid[t - 1]
             coh_noisy[t - 1] = coh[t - 1]
             continue
-        kraus = cfg.noise.kraus(t, basis.dim)
+        # the Kraus set is not bound to a name, so it is freed before the next is built
         if cfg.noise_mode == "snapshot":
-            rho_t = apply_channel(kraus, psi)
+            rho_t = apply_channel(cfg.noise.kraus(t, basis.dim), psi)
         else:
             # U rho U^dag, since U is real
-            rho = apply_channel_mixed(kraus, walk.step(walk.step(rho).T).T)
+            rho = apply_channel_mixed(cfg.noise.kraus(t, basis.dim),
+                                      walk.step(walk.step(rho).T).T)
             rho_t = rho
         fid_noisy[t - 1] = fidelity_with_pure(rho_t, target)
         coh_noisy[t - 1] = coherence_l1(rho_t)
@@ -216,16 +218,17 @@ def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
     each pair's own checks), the k pairs stepped as one (k, dim) state array
     (a density batch in stepwise mode), one Kraus set per step shared by the
     batch, and no coherence series.  `fields` are the other ScenarioConfig
-    fields, shared by every pair.  At most BATCH_STATE_BYTES of states are
-    held at once; longer pair lists run in chunks.
+    fields, shared by every pair.  A batch's channel temporary holds at most
+    BATCH_STATE_BYTES; longer pair lists run in chunks.
     """
     cfg = ScenarioConfig(graph, *pairs[0], **fields)
     _validate_config(cfg)
     for s, r in pairs[1:]:
         _check_pair(graph, s, r)
     walk = WalkOperator.assemble(graph, *pairs[0])
-    state_bytes = 16 * walk.basis.dim ** (2 if cfg.noise_mode == "stepwise" else 1)
-    chunk = max(1, BATCH_STATE_BYTES // state_bytes)
+    dim = walk.basis.dim
+    pair_bytes = 16 * cfg.noise.kraus_count(dim) * dim ** (2 if cfg.noise_mode == "stepwise" else 1)
+    chunk = max(1, BATCH_STATE_BYTES // pair_bytes)
     fid = np.concatenate([_batch_fidelity(walk, cfg, pairs[i:i + chunk])
                           for i in range(0, len(pairs), chunk)])
     return [summarize(series, s, r, cfg.peak_threshold, cfg.noise.family)
@@ -236,7 +239,7 @@ def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
                     pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Noisy fidelity series of each pair, shape (k, steps); the step and
     channel arithmetic is run_scenario's, applied to the whole batch."""
-    graph, basis = cfg.graph, walk.basis
+    graph, basis, dim = cfg.graph, walk.basis, walk.basis.dim
     batch = walk.for_pairs(*zip(*pairs))
     psi = np.stack([sender_state(graph, basis, s) for s, _ in pairs])
     target = np.stack([receiver_state(graph, basis, r, cfg.receiver_convention)
@@ -254,16 +257,19 @@ def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
             psi = batch.step(psi)
             fid[:, t - 1] = np.abs(np.einsum("kd,kd->k", bra, psi)) ** 2
             continue
-        kraus = cfg.noise.kraus(t, basis.dim)
+        stack = cfg.noise.kraus(t, dim).stack
         if stepwise:
-            rho = batch.step(batch.step(rho).T).T
-            rho = sum(np.tensordot(op, rho @ op.conj().T, axes=1) for op in kraus.operators)
+            # sum_i K_i rho K_i^dag on the two arc axes of the (dim, k, dim) batch
+            rho = stack @ batch.step(batch.step(rho).T).T.reshape(dim, -1)
+            rho = (rho.reshape(len(stack), -1, dim) @ stack.conj().swapaxes(1, 2)
+                   ).sum(0).reshape(dim, -1, dim)
             fid[:, t - 1] = np.einsum("ki,ikj,kj->k", bra, rho, target).real
         else:
-            # F = sum_i |<target|K_i|psi>|^2
+            # F = sum_i |<target|K_i|psi>|^2, from the (ops, k, dim) array of K_i psi
             psi = batch.step(psi)
-            fid[:, t - 1] = sum(np.abs(np.einsum("kd,kd->k", bra, psi @ op.T)) ** 2
-                                for op in kraus.operators)
+            amp = np.einsum("ikd,kd->ik", psi @ stack.swapaxes(1, 2), bra)
+            fid[:, t - 1] = (np.abs(amp) ** 2).sum(0)
+        del stack  # freed before the next step's set is built
     return fid
 
 

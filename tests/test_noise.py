@@ -283,3 +283,97 @@ def test_rtn_non_markovian_flag():
 
 def test_noise_domain_error_is_an_arithmetic_error():
     assert issubclass(NoiseDomainError, ArithmeticError)
+
+
+BAD_TIMES = [math.nan, math.inf, -math.inf, -0.5, True, False, "1", None]
+
+
+@pytest.mark.parametrize("t", BAD_TIMES, ids=repr)
+@pytest.mark.parametrize("fn", [
+    lambda t: rtn_modulation(*RTN_PARAMS, t),
+    lambda t: oun_decay(*OUN_PARAMS, t),
+    lambda t: nmad_damping(*NMAD_PARAMS, t),
+    lambda t: identity_kraus(4, t),
+    lambda t: NoiseSpec().kraus(t, 4),
+    lambda t: NoiseSpec.rtn(*RTN_PARAMS).kraus(t, 4),
+    lambda t: NoiseSpec.oun(*OUN_PARAMS).kraus(t, 4),
+    lambda t: NoiseSpec.nmad(*NMAD_PARAMS).kraus(t, 4),
+], ids=["rtn_modulation", "oun_decay", "nmad_damping", "identity_kraus",
+        "none.kraus", "rtn.kraus", "oun.kraus", "nmad.kraus"])
+def test_bad_channel_times_are_rejected(fn, t):
+    with pytest.raises(ValueError, match="channel time t must be a finite real number >= 0"):
+        fn(t)
+
+
+@pytest.mark.parametrize("operators", [
+    (np.eye(2), np.eye(3)),
+    (),
+    (np.ones((2, 3)),),
+    (np.ones(3),),
+    np.zeros((1, 0, 0)),
+], ids=["mixed-dims", "empty", "not-square", "vector", "dim-0"])
+def test_kraus_set_rejects_malformed_operators(operators):
+    with pytest.raises(ValueError, match="square matrices of one dimension >= 1, got shapes"):
+        KrausSet(operators, 0.0)
+
+
+def test_kraus_set_operators_are_read_only_views_of_one_complex_stack():
+    ks = KrausSet((np.eye(3), 2.0 * np.eye(3)), 0.0)
+    assert ks.stack.shape == (2, 3, 3) and ks.stack.dtype == complex
+    assert ks.dim == 3
+    for i, op in enumerate(ks.operators):
+        assert not op.flags.writeable
+        assert np.shares_memory(op, ks.stack)
+        np.testing.assert_array_equal(op, ks.stack[i])
+    with pytest.raises(ValueError):
+        ks.stack[0, 0, 0] = 5.0
+
+
+STACKED = {
+    "rtn": lambda t, d: rtn_kraus(*RTN_PARAMS, t, d),
+    "oun": lambda t, d: oun_kraus(*OUN_PARAMS, t, d),
+    "nmad": lambda t, d: nmad_kraus(*NMAD_PARAMS, t, d),
+    "identity": lambda t, d: identity_kraus(d, t),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 76])
+@pytest.mark.parametrize("family", sorted(STACKED))
+def test_stacked_channel_matches_per_operator_loop(family, d):
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    for t in [0, 3, 47, 150]:
+        ks = STACKED[family](t, d)
+        ops = ks.operators
+        pure = sum(np.outer(op @ psi, (op @ psi).conj()) for op in ops)
+        mixed = sum(op @ rho @ op.conj().T for op in ops)
+        completeness = sum(op.conj().T @ op for op in ops)
+        assert np.max(np.abs(apply_channel(ks, psi) - pure)) <= 1e-14
+        assert np.max(np.abs(apply_channel_mixed(ks, rho) - mixed)) <= 1e-14
+        assert abs(validate_cptp(ks) - np.max(np.abs(completeness - np.eye(d)))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 12, 76])
+@pytest.mark.parametrize("build,kernel", [
+    (lambda t, d: rtn_kraus(*RTN_PARAMS, t, d), lambda t: rtn_modulation(*RTN_PARAMS, t)),
+    (lambda t, d: oun_kraus(*OUN_PARAMS, t, d), lambda t: oun_decay(*OUN_PARAMS, t)),
+], ids=["rtn", "oun"])
+def test_dephasing_stacks_equal_scaled_weyl_operators(build, kernel, d):
+    for t in [0, 1, 10, 133, 200]:
+        value = kernel(t)
+        ks = build(t, d)
+        assert ks.stack.shape == (2, d, d)
+        np.testing.assert_array_equal(ks.stack[0], math.sqrt(0.5 * (1.0 + value)) * weyl(0, 0, d))
+        np.testing.assert_array_equal(ks.stack[1], math.sqrt(0.5 * (1.0 - value)) * weyl(1, 0, d))
+
+
+@pytest.mark.parametrize("spec", [NoiseSpec(), NoiseSpec.rtn(*RTN_PARAMS),
+                                  NoiseSpec.oun(*OUN_PARAMS), NoiseSpec.nmad(*NMAD_PARAMS)],
+                         ids=lambda s: s.family)
+def test_kraus_count_matches_the_built_set(spec):
+    for d in [1, 2, 12]:
+        assert spec.kraus_count(d) == len(spec.kraus(5, d).operators)

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -174,10 +175,30 @@ def test_batched_sweep_matches_per_pair_runs(graph, spec, mode):
 
 
 def test_sweep_in_chunks_matches_one_batch(monkeypatch):
-    fields = dict(steps=30, noise=NoiseSpec.rtn(0.1, 0.01), noise_mode="stepwise")
-    whole = sweep_placements(B3_P2, **fields)
-    monkeypatch.setattr(runner_mod, "BATCH_STATE_BYTES", 3 * 16 * 20 * 20)  # 3 pairs a chunk
-    assert sweep_placements(B3_P2, **fields) == whole
+    batch_fidelity = runner_mod._batch_fidelity
+    chunks = []
+
+    def counted(walk, cfg, pairs):
+        chunks.append(len(pairs))
+        return batch_fidelity(walk, cfg, pairs)
+
+    monkeypatch.setattr(runner_mod, "_batch_fidelity", counted)
+    # B3_P2 has arc dim 20 and 56 pairs; rtn has 2 Kraus operators, nmad 20
+    for spec, mode, ops in [(NoiseSpec.rtn(0.1, 0.01), "stepwise", 2),
+                            (NoiseSpec.nmad(0.3, 0.05), "stepwise", 20),
+                            (NoiseSpec.nmad(0.3, 0.05), "snapshot", 20)]:
+        fields = dict(steps=30, noise=spec, noise_mode=mode)
+        with monkeypatch.context() as m:
+            m.setattr(runner_mod, "BATCH_STATE_BYTES", 10 ** 9)
+            whole = sweep_placements(B3_P2, **fields)
+        assert chunks == [56]
+        chunks.clear()
+        pair_bytes = 16 * ops * 20 ** (2 if mode == "stepwise" else 1)
+        with monkeypatch.context() as m:
+            m.setattr(runner_mod, "BATCH_STATE_BYTES", 3 * pair_bytes)  # 3 pairs a chunk
+            assert sweep_placements(B3_P2, **fields) == whole
+        assert chunks == [3] * 18 + [2]
+        chunks.clear()
 
 
 def test_sweep_assembles_once_per_graph(monkeypatch):
@@ -198,6 +219,27 @@ def test_sweep_assembles_once_per_graph(monkeypatch):
     calls.clear()
     evaluate_reference_tables(steps=20, receiver_convention="outgoing")
     assert len(calls) == len(runner_mod.REFERENCE_TABLES)
+
+
+@pytest.mark.parametrize("mode", ["snapshot", "stepwise"])
+@pytest.mark.parametrize("kind", ["run", "sweep"])
+def test_each_kraus_set_is_freed_before_the_next_is_built(monkeypatch, kind, mode):
+    kraus = NoiseSpec.kraus
+    alive = []
+
+    def tracked(self, t, dim):
+        assert all(ref() is None for ref in alive), f"step {t - 1}'s Kraus set is still alive"
+        ks = kraus(self, t, dim)
+        alive[:] = [weakref.ref(ks), weakref.ref(ks.stack)]
+        return ks
+
+    monkeypatch.setattr(NoiseSpec, "kraus", tracked)
+    fields = dict(steps=20, noise=NoiseSpec.nmad(0.3, 0.05), noise_mode=mode)
+    if kind == "run":
+        run_scenario(ScenarioConfig(graph=B3_P2, sender=5, receiver=6, **fields))
+    else:
+        sweep_placements(B3_P2, **fields)
+    assert alive
 
 
 def test_noisy_series_stays_close_where_kernel_is_near_one():
