@@ -9,17 +9,22 @@ walk step t to produce a complete Kraus set acting on the full arc space:
           a monotone decay in place of the oscillating kernel;
 * nmad -- non-Markovian amplitude damping, non-unital, d operators
           draining amplitude into the first basis state.
+
+Every family is diagonal operators plus, for nmad, a drain into |0>, and
+a KrausSet carries that closed form; its dense operators are built only
+when read (tests, demos, CPTP checks and the dense channel functions here).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .graphs import is_real
+from .graphs import is_int, is_real
 
 # Kernel values may stray past their exact range by at most this much
 # before we treat it as a wrong-parameter signal instead of float noise.
@@ -57,9 +62,18 @@ def _check_time(t: float) -> float:
     return float(t)
 
 
+def _check_dim(dim: int) -> int:
+    if not (is_int(dim) and dim >= 1):
+        raise ValueError(f"channel dimension dim must be an integer >= 1, got {dim!r}")
+    return dim
+
+
+@lru_cache(maxsize=64)
 def _phases(u: int, d: int) -> np.ndarray:
-    """Diagonal of U_{u,0}: exp(2*pi*i*k*u/d) for k = 0..d-1."""
-    return np.exp(2j * np.pi * np.arange(d) * u / d)
+    """Diagonal of U_{u,0}: exp(2*pi*i*k*u/d) for k = 0..d-1 (cached, read-only)."""
+    phases = np.exp(2j * np.pi * np.arange(d) * u / d)
+    phases.setflags(write=False)
+    return phases
 
 
 def weyl(u: int, v: int, d: int) -> np.ndarray:
@@ -147,13 +161,21 @@ def nmad_damping(g: float, gamma: float, t: float) -> float:
 class KrausSet:
     """A complete family of Kraus operators evaluated at one time step.
 
-    The operators are held as one read-only complex array `stack` of shape
-    (ops, dim, dim), which the channel functions apply by batched matrix
-    products; `operators` are its per-operator views.  A complex ndarray
-    stack is adopted without a copy and made read-only; other input is copied.
+    The family builders give the channel in closed form: `diagonals`, a
+    read-only (ops, dim) array whose row i is the diagonal of the diagonal
+    operator K_i, and `drain`, the fraction of every level j >= 1 that the
+    further operators sqrt(drain) |0><j| move into |0> (0 for the unital
+    families; only nmad has drain operators).  `stack`, the read-only
+    (ops, dim, dim) complex array of all operators, is then built on first
+    access and cached; `operators` are its per-operator views.
+
+    KrausSet(operators, t) instead takes explicit matrices and has no closed
+    form (`diagonals` is None).  A complex ndarray stack is adopted without
+    a copy and made read-only; other input is copied.
     """
 
-    stack: np.ndarray
+    diagonals: Optional[np.ndarray]
+    drain: float
     t: float
 
     def __init__(self, operators, t: float) -> None:
@@ -165,8 +187,37 @@ class KrausSet:
             raise ValueError("Kraus operators must be one or more square matrices of one "
                              f"dimension >= 1, got shapes {[np.shape(op) for op in operators]}")
         stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
+        self._set(None, 0.0, t, drain_ops=False)
+        object.__setattr__(self, "stack", stack)  # fills the cached property
+
+    @classmethod
+    def _closed_form(cls, diagonals: np.ndarray, t: float,
+                     drain: Optional[float] = None) -> "KrausSet":
+        """The diagonal operators diag(diagonals[i]) and, when `drain` is
+        given, the dim - 1 operators sqrt(drain) |0><j| for j = 1..dim-1."""
+        diagonals.setflags(write=False)
+        ks = cls.__new__(cls)
+        ks._set(diagonals, 0.0 if drain is None else drain, t, drain_ops=drain is not None)
+        return ks
+
+    def _set(self, diagonals, drain: float, t: float, drain_ops: bool) -> None:
+        object.__setattr__(self, "diagonals", diagonals)
+        object.__setattr__(self, "drain", drain)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_drain_ops", drain_ops)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """Every operator, built from the closed form on first access."""
+        ops, dim = self.diagonals.shape
+        drained = dim - 1 if self._drain_ops else 0
+        stack = np.zeros((ops + drained, dim, dim), dtype=complex)
+        k = np.arange(dim)
+        stack[:ops, k, k] = self.diagonals
+        if drained:
+            stack[ops + k[:-1], 0, k[1:]] = math.sqrt(self.drain)
+        stack.setflags(write=False)
+        return stack
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -174,31 +225,32 @@ class KrausSet:
 
     @property
     def dim(self) -> int:
-        return self.stack.shape[1]
+        return self.stack.shape[1] if self.diagonals is None else self.diagonals.shape[1]
 
 
 def identity_kraus(dim: int, t: float = 0.0) -> KrausSet:
     """The do-nothing channel; used when no noise family is active."""
     _check_time(t)
-    return KrausSet(np.eye(dim, dtype=complex)[np.newaxis], t)
+    return KrausSet._closed_form(np.ones((1, _check_dim(dim)), dtype=complex), t)
 
 
 def _dephasing_kraus(kernel: float, t: float, dim: int) -> KrausSet:
-    """sqrt((1+L)/2) U_{0,0} and sqrt((1-L)/2) U_{1,0}, written on two diagonals."""
-    stack = np.zeros((2, dim, dim), dtype=complex)
-    k = np.arange(dim)
-    stack[0, k, k] = math.sqrt(0.5 * (1.0 + kernel))
-    stack[1, k, k] = math.sqrt(0.5 * (1.0 - kernel)) * _phases(1, dim)
-    return KrausSet(stack, t)
+    """sqrt((1+L)/2) U_{0,0} and sqrt((1-L)/2) U_{1,0}, as their two diagonals."""
+    diagonals = np.empty((2, dim), dtype=complex)
+    diagonals[0] = math.sqrt(0.5 * (1.0 + kernel))
+    diagonals[1] = math.sqrt(0.5 * (1.0 - kernel)) * _phases(1, dim)
+    return KrausSet._closed_form(diagonals, t)
 
 
 def rtn_kraus(a: float, gamma: float, t: float, dim: int) -> KrausSet:
     """Telegraph channel: sqrt((1+L)/2) U_{0,0} and sqrt((1-L)/2) U_{1,0}."""
+    _check_dim(dim)
     return _dephasing_kraus(rtn_modulation(a, gamma, t), t, dim)
 
 
 def oun_kraus(lam: float, gamma: float, t: float, dim: int) -> KrausSet:
     """Ornstein-Uhlenbeck channel: same operator pair with kernel P(t)."""
+    _check_dim(dim)
     return _dephasing_kraus(oun_decay(lam, gamma, t), t, dim)
 
 
@@ -206,15 +258,14 @@ def nmad_kraus(g: float, gamma: float, t: float, dim: int) -> KrausSet:
     """Amplitude-damping channel draining every level into state |0>.
 
     K_1 = |0><0| + sqrt(1-lam) * sum_j |j><j| and, for each j >= 1,
-    K_j = sqrt(lam) |0><j|, where lam is the damped fraction at time t.
+    K_j = sqrt(lam) |0><j|, where lam is the damped fraction at time t:
+    the diagonal K_1 plus a drain of lam.
     """
+    _check_dim(dim)
     lam = nmad_damping(g, gamma, t)
-    stack = np.zeros((dim, dim, dim), dtype=complex)
-    k = np.arange(dim)
-    stack[0, k, k] = math.sqrt(1.0 - lam)
-    stack[0, 0, 0] = 1.0
-    stack[k[1:], 0, k[1:]] = math.sqrt(lam)
-    return KrausSet(stack, t)
+    diagonal = np.full((1, dim), math.sqrt(1.0 - lam), dtype=complex)
+    diagonal[0, 0] = 1.0
+    return KrausSet._closed_form(diagonal, t, drain=lam)
 
 
 @dataclass(frozen=True)
@@ -264,12 +315,8 @@ class NoiseSpec:
             raise ValueError("non-Markovian ratio is defined for the rtn family only")
         return self.a / self.gamma > 0.5
 
-    def kraus_count(self, dim: int) -> int:
-        """Number of operators in this channel's Kraus set on dim levels."""
-        return {"none": 1, "nmad": dim}.get(self.family, 2)
-
     def kraus(self, t: float, dim: int) -> KrausSet:
-        """Kraus operators of this channel evaluated at time t."""
+        """This channel at time t on dim levels, as a closed-form KrausSet."""
         if self.family == "none":
             return identity_kraus(dim, t)
         if self.family == "rtn":

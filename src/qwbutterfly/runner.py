@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import Graph, build_butterfly, build_path, is_connected, is_int, is_real
 from .metrics import average_fidelity, coherence_l1, fidelity_pure, fidelity_with_pure
-from .noise import NoiseSpec, apply_channel, apply_channel_mixed
+from .noise import NoiseSpec
 from .walk import RECEIVER_CONVENTIONS, WalkOperator, receiver_state, sender_state
 
 NOISE_MODES = ("snapshot", "stepwise")
@@ -27,9 +27,10 @@ CSV_HEADER = "t,fidelity,coherence,fidelity_noisy,coherence_noisy"
 # Sweep averages that agree to this many decimals rank as ties, by (s, r).
 TIE_DECIMALS = 12
 
-# Bytes one batch of pairs may hold in its channel temporary, the (ops, k, dim)
-# array of K_i psi (16 ops dim per pair, or 16 ops dim^2 in stepwise mode,
-# with ops = 1 for the noiseless walk); longer pair lists run in chunks.
+# Bytes one batch of pairs may hold in its largest temporary: the (ops, k, dim)
+# array of K_i psi over the channel's diagonal operators (16 ops dim per pair,
+# ops = 1 for the noiseless walk), or the (dim, k, dim) density batch in
+# stepwise mode (16 dim^2 per pair); longer pair lists run in chunks.
 BATCH_STATE_BYTES = 32 * 2 ** 20
 
 
@@ -160,13 +161,49 @@ def summarize(series: np.ndarray, sender: int, receiver: int, threshold: float,
     )
 
 
+def _channel(noise: NoiseSpec, t: int, dim: int) -> tuple[np.ndarray, float]:
+    """Step t's channel in closed form: its diagonals and its drain.  The
+    KrausSet is dropped on return, so its dense stack is never built."""
+    kraus = noise.kraus(t, dim)
+    return kraus.diagonals, kraus.drain
+
+
+def _snapshot(diagonals: np.ndarray, drain: float, psi: np.ndarray, bra: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The channel on pure states psi (..., dim), seen by receivers bra^*.
+
+    Returns V, with V_i = diag(diagonals[i]) psi on axis 0, and the fidelity
+    sum_i |<r|V_i>|^2 + drain (|psi|^2 - |psi_0|^2) |r_0|^2 of the output
+    sum_i V_i V_i^dag + drain (|psi|^2 - |psi_0|^2) |0><0|, in O(ops dim).
+    """
+    v = np.expand_dims(diagonals, tuple(range(1, psi.ndim))) * psi
+    fid = (np.abs((v * bra).sum(-1)) ** 2).sum(0)
+    if drain:
+        lost = (np.abs(psi) ** 2).sum(-1) - np.abs(psi[..., 0]) ** 2
+        fid = fid + drain * lost * np.abs(bra[..., 0]) ** 2
+    return v, fid
+
+
+def _stepwise(diagonals: np.ndarray, drain: float, rho: np.ndarray) -> np.ndarray:
+    """The channel on density matrices whose arc axes are the first and the
+    last of rho: rho o sum_i d_i d_i^dag + drain (Tr rho - rho_00) |0><0|,
+    in O(dim^2) per matrix."""
+    weights = diagonals.T @ diagonals.conj()
+    out = rho * np.expand_dims(weights, tuple(range(1, rho.ndim - 1)))
+    if drain:
+        out[0, ..., 0] += drain * (np.einsum("i...i->...", rho) - rho[0, ..., 0])
+    return out
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Evolve the walk for t = 1..steps, recording clean and noisy metrics.
 
     For each t the clean fidelity compares U^t|psi(s)> against the
     receiver state, and the noisy fidelity compares the channel output
     rho_t' = sum_i K_i(t) |psi_t><psi_t| K_i(t)^dag against the receiver
-    projector.  With the "none" family the two series coincide.
+    projector.  With the "none" family the two series coincide.  The
+    channel acts in closed form (_snapshot, _stepwise); no Kraus matrix
+    is built.
     """
     _validate_config(cfg)
     walk = WalkOperator.assemble(cfg.graph, cfg.sender, cfg.receiver)
@@ -182,6 +219,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     noiseless = cfg.noise.family == "none" and cfg.noise_mode == "snapshot"
     rho = np.outer(psi, psi.conj()) if cfg.noise_mode == "stepwise" else None
+    bra = target.conj()
     for t in range(1, T + 1):
         psi = walk.step(psi)
         fid[t - 1] = fidelity_pure(psi, target)
@@ -191,16 +229,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             fid_noisy[t - 1] = fid[t - 1]
             coh_noisy[t - 1] = coh[t - 1]
             continue
-        # the Kraus set is not bound to a name, so it is freed before the next is built
+        diagonals, drain = _channel(cfg.noise, t, basis.dim)
         if cfg.noise_mode == "snapshot":
-            rho_t = apply_channel(cfg.noise.kraus(t, basis.dim), psi)
+            v, fid_noisy[t - 1] = _snapshot(diagonals, drain, psi, bra)
+            # the drain lands on the diagonal, so one operator leaves a pure-state
+            # coherence; more need the dense output V^T V^*
+            coh_noisy[t - 1] = coherence_l1(v[0] if len(v) == 1 else v.T @ v.conj())
         else:
             # U rho U^dag, since U is real
-            rho = apply_channel_mixed(cfg.noise.kraus(t, basis.dim),
-                                      walk.step(walk.step(rho).T).T)
-            rho_t = rho
-        fid_noisy[t - 1] = fidelity_with_pure(rho_t, target)
-        coh_noisy[t - 1] = coherence_l1(rho_t)
+            rho = _stepwise(diagonals, drain, walk.step(walk.step(rho).T).T)
+            fid_noisy[t - 1] = fidelity_with_pure(rho, target)
+            coh_noisy[t - 1] = coherence_l1(rho)
 
     summary = summarize(fid_noisy, cfg.sender, cfg.receiver, cfg.peak_threshold,
                         cfg.noise.family)
@@ -216,10 +255,10 @@ def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
     Gives what run_scenario(...).summary gives for each pair, to 1e-12, from
     one batched walk: one assembly and one full validation per graph (plus
     each pair's own checks), the k pairs stepped as one (k, dim) state array
-    (a density batch in stepwise mode), one Kraus set per step shared by the
-    batch, and no coherence series.  `fields` are the other ScenarioConfig
-    fields, shared by every pair.  A batch's channel temporary holds at most
-    BATCH_STATE_BYTES; longer pair lists run in chunks.
+    (a density batch in stepwise mode), one closed-form channel per step
+    shared by the batch, and no coherence series.  `fields` are the other
+    ScenarioConfig fields, shared by every pair.  A batch's largest temporary
+    holds at most BATCH_STATE_BYTES; longer pair lists run in chunks.
     """
     cfg = ScenarioConfig(graph, *pairs[0], **fields)
     _validate_config(cfg)
@@ -227,7 +266,11 @@ def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
         _check_pair(graph, s, r)
     walk = WalkOperator.assemble(graph, *pairs[0])
     dim = walk.basis.dim
-    pair_bytes = 16 * cfg.noise.kraus_count(dim) * dim ** (2 if cfg.noise_mode == "stepwise" else 1)
+    if cfg.noise_mode == "stepwise":
+        pair_bytes = 16 * dim * dim
+    else:
+        ops = 1 if cfg.noise.family == "none" else len(cfg.noise.kraus(0, dim).diagonals)
+        pair_bytes = 16 * ops * dim
     chunk = max(1, BATCH_STATE_BYTES // pair_bytes)
     fid = np.concatenate([_batch_fidelity(walk, cfg, pairs[i:i + chunk])
                           for i in range(0, len(pairs), chunk)])
@@ -239,7 +282,7 @@ def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
                     pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Noisy fidelity series of each pair, shape (k, steps); the step and
     channel arithmetic is run_scenario's, applied to the whole batch."""
-    graph, basis, dim = cfg.graph, walk.basis, walk.basis.dim
+    graph, basis = cfg.graph, walk.basis
     batch = walk.for_pairs(*zip(*pairs))
     psi = np.stack([sender_state(graph, basis, s) for s, _ in pairs])
     target = np.stack([receiver_state(graph, basis, r, cfg.receiver_convention)
@@ -257,19 +300,13 @@ def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
             psi = batch.step(psi)
             fid[:, t - 1] = np.abs(np.einsum("kd,kd->k", bra, psi)) ** 2
             continue
-        stack = cfg.noise.kraus(t, dim).stack
+        diagonals, drain = _channel(cfg.noise, t, basis.dim)
         if stepwise:
-            # sum_i K_i rho K_i^dag on the two arc axes of the (dim, k, dim) batch
-            rho = stack @ batch.step(batch.step(rho).T).T.reshape(dim, -1)
-            rho = (rho.reshape(len(stack), -1, dim) @ stack.conj().swapaxes(1, 2)
-                   ).sum(0).reshape(dim, -1, dim)
+            rho = _stepwise(diagonals, drain, batch.step(batch.step(rho).T).T)
             fid[:, t - 1] = np.einsum("ki,ikj,kj->k", bra, rho, target).real
         else:
-            # F = sum_i |<target|K_i|psi>|^2, from the (ops, k, dim) array of K_i psi
             psi = batch.step(psi)
-            amp = np.einsum("ikd,kd->ik", psi @ stack.swapaxes(1, 2), bra)
-            fid[:, t - 1] = (np.abs(amp) ** 2).sum(0)
-        del stack  # freed before the next step's set is built
+            fid[:, t - 1] = _snapshot(diagonals, drain, psi, bra)[1]
     return fid
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, is_int
 
 RECEIVER_CONVENTIONS = ("incoming", "outgoing")
 
@@ -179,8 +179,8 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 def evolve(walk: WalkOperator, psi0: np.ndarray, steps: int) -> np.ndarray:
     """Apply the evolution operator `steps` times to a pure state."""
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
+    if not (is_int(steps) and steps >= 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (walk.basis.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.basis.dim},)")

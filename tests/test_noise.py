@@ -20,6 +20,7 @@ from qwbutterfly import (
     validate_cptp,
     weyl,
 )
+from qwbutterfly import noise as noise_mod
 
 RTN_PARAMS = (0.1, 0.01)     # oscillatory regime, a/gamma = 10
 RTN_DAMPED = (0.1, 1.0)      # hyperbolic regime, a/gamma = 0.1
@@ -371,9 +372,69 @@ def test_dephasing_stacks_equal_scaled_weyl_operators(build, kernel, d):
         np.testing.assert_array_equal(ks.stack[1], math.sqrt(0.5 * (1.0 - value)) * weyl(1, 0, d))
 
 
-@pytest.mark.parametrize("spec", [NoiseSpec(), NoiseSpec.rtn(*RTN_PARAMS),
-                                  NoiseSpec.oun(*OUN_PARAMS), NoiseSpec.nmad(*NMAD_PARAMS)],
-                         ids=lambda s: s.family)
-def test_kraus_count_matches_the_built_set(spec):
-    for d in [1, 2, 12]:
-        assert spec.kraus_count(d) == len(spec.kraus(5, d).operators)
+SPECS = [NoiseSpec(), NoiseSpec.rtn(*RTN_PARAMS), NoiseSpec.oun(*OUN_PARAMS),
+         NoiseSpec.nmad(*NMAD_PARAMS)]
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.5], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda d: identity_kraus(d, 1.0),
+    lambda d: rtn_kraus(*RTN_PARAMS, 1.0, d),
+    lambda d: oun_kraus(*OUN_PARAMS, 1.0, d),
+    lambda d: nmad_kraus(*NMAD_PARAMS, 1.0, d),
+] + [lambda d, spec=spec: spec.kraus(1.0, d) for spec in SPECS],
+    ids=["identity_kraus", "rtn_kraus", "oun_kraus", "nmad_kraus"]
+        + [f"{spec.family}.kraus" for spec in SPECS])
+def test_bad_channel_dims_are_rejected_when_called(build, dim):
+    with pytest.raises(ValueError, match="channel dimension dim must be an integer >= 1"):
+        build(dim)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+def test_closed_form_carries_the_diagonals_and_drain(spec):
+    d, t = 12, 40
+    ks = spec.kraus(t, d)
+    assert not ks.diagonals.flags.writeable
+    assert "stack" not in vars(ks)  # built on first access only
+    if spec.family in ("rtn", "oun"):
+        p = 0.5 * (1.0 + (rtn_modulation(*RTN_PARAMS, t) if spec.family == "rtn"
+                          else oun_decay(*OUN_PARAMS, t)))
+        expected = [np.full(d, np.sqrt(p)), np.sqrt(1.0 - p) * np.diag(weyl(1, 0, d))]
+        drain = 0.0
+    elif spec.family == "nmad":
+        drain = nmad_damping(*NMAD_PARAMS, t)
+        expected = [[1.0] + [np.sqrt(1.0 - drain)] * (d - 1)]
+    else:
+        expected, drain = [np.ones(d)], 0.0
+    np.testing.assert_allclose(ks.diagonals, expected, rtol=0, atol=1e-15)
+    assert ks.drain == drain
+    assert ks.stack is ks.stack and not ks.stack.flags.writeable
+    assert ks.dim == d
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 76])
+def test_lazy_stacks_equal_the_dense_construction(d):
+    # the nmad and identity stacks as they were written before the closed form
+    for t in [0, 1, 40, 200]:
+        lam = nmad_damping(*NMAD_PARAMS, t)
+        want = np.zeros((d, d, d), dtype=complex)
+        k = np.arange(d)
+        want[0, k, k] = math.sqrt(1.0 - lam)
+        want[0, 0, 0] = 1.0
+        want[k[1:], 0, k[1:]] = math.sqrt(lam)
+        got = nmad_kraus(*NMAD_PARAMS, t, d).stack
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = identity_kraus(d, t).stack
+        assert got.tobytes() == np.eye(d, dtype=complex)[np.newaxis].tobytes()
+
+
+def test_explicit_operators_have_no_closed_form():
+    ks = KrausSet((np.eye(2),), 0.0)
+    assert ks.diagonals is None and ks.drain == 0.0 and ks.dim == 2
+
+
+def test_phases_are_cached_read_only():
+    first = noise_mod._phases(1, 254)
+    assert noise_mod._phases(1, 254) is first
+    assert not first.flags.writeable
+    np.testing.assert_array_equal(first, np.exp(2j * np.pi * np.arange(254) / 254))

@@ -183,10 +183,12 @@ def test_sweep_in_chunks_matches_one_batch(monkeypatch):
         return batch_fidelity(walk, cfg, pairs)
 
     monkeypatch.setattr(runner_mod, "_batch_fidelity", counted)
-    # B3_P2 has arc dim 20 and 56 pairs; rtn has 2 Kraus operators, nmad 20
-    for spec, mode, ops in [(NoiseSpec.rtn(0.1, 0.01), "stepwise", 2),
-                            (NoiseSpec.nmad(0.3, 0.05), "stepwise", 20),
-                            (NoiseSpec.nmad(0.3, 0.05), "snapshot", 20)]:
+    # B3_P2 has arc dim 20 and 56 pairs; a snapshot pair holds one state per
+    # diagonal operator (rtn 2, nmad 1), a stepwise pair one density matrix
+    for spec, mode, ops in [(NoiseSpec.rtn(0.1, 0.01), "stepwise", 1),
+                            (NoiseSpec.nmad(0.3, 0.05), "stepwise", 1),
+                            (NoiseSpec.nmad(0.3, 0.05), "snapshot", 1),
+                            (NoiseSpec.rtn(0.1, 0.01), "snapshot", 2)]:
         fields = dict(steps=30, noise=spec, noise_mode=mode)
         with monkeypatch.context() as m:
             m.setattr(runner_mod, "BATCH_STATE_BYTES", 10 ** 9)

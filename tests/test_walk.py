@@ -242,6 +242,13 @@ def test_evolve_rejects_negative_steps():
         evolve(walk, sender_state(P2, walk.basis, 0), -1)
 
 
+@pytest.mark.parametrize("steps", [True, 2.5, "2", -1], ids=repr)
+def test_evolve_steps_must_be_an_integer(steps):
+    walk = WalkOperator.assemble(P2, 0, 1)
+    with pytest.raises(ValueError, match="steps must be an integer >= 0"):
+        evolve(walk, sender_state(P2, walk.basis, 0), steps)
+
+
 @pytest.mark.parametrize("graph,s,r", [
     (P2, 0, 1), (B1, 0, 1), (B2, 2, 5), (B3_P2, 5, 6), (B3_P3, 5, 6),
 ])
