@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 # Eigenvalues of a density matrix in [-EIG_CLIP, 0) are treated as
@@ -77,15 +79,39 @@ def average_fidelity(values) -> float:
     return float(values.mean())
 
 
-def coherence_l1(state: np.ndarray) -> float:
+def coherence_l1(state: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
     """l1-norm coherence: sum of |rho_ij| over the off-diagonal entries.
 
     For a pure state (1-d array) that is (sum |psi_i|)^2 - sum |psi_i|^2.
+
+    With `weights`, the real lag weights c (length dim) of a circulant Schur
+    multiplier W, |W_jk| = c_{(j-k) mod dim}, `state` is a pure state psi and
+    the result is the coherence of psi psi^dag o W:
+
+        sum_{j != k} a_j a_k c_{(j-k) mod dim} = sum_{d >= 1} c_d R_d,
+
+    with a = |psi| and R_d = sum_k a_{(k+d) mod dim} a_k its cyclic
+    autocorrelation, taken through one real FFT in O(dim log dim).
     """
     state = np.asarray(state, dtype=complex)
+    if weights is not None:
+        return _circulant_coherence(state, np.asarray(weights))
     if state.ndim == 1:
         return float(np.abs(state).sum() ** 2 - np.vdot(state, state).real)
     if state.ndim != 2 or state.shape[0] != state.shape[1]:
         raise ValueError(f"expected a state vector or square matrix, got shape {state.shape}")
     mags = np.abs(state)
     return float(mags.sum() - np.trace(mags))
+
+
+def _circulant_coherence(psi: np.ndarray, weights: np.ndarray) -> float:
+    if psi.ndim != 1 or weights.shape != psi.shape:
+        raise ValueError(f"lag weights must be 1-d of the state's length, got state shape "
+                         f"{psi.shape} and weights shape {weights.shape}")
+    dim = psi.size
+    # the linear autocorrelation L_d (d = 0..dim-1) through a power-of-two FFT
+    # of length >= 2 dim - 1, so no lag wraps; then R_d = L_d + L_{dim-d}
+    m = 1 << (2 * dim - 2).bit_length()
+    spectrum = np.fft.rfft(np.abs(psi), m)
+    lin = np.fft.irfft(np.abs(spectrum) ** 2, m)
+    return float(weights[1:] @ (lin[1:dim] + lin[dim - 1:0:-1]))

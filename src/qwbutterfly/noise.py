@@ -30,6 +30,10 @@ from .graphs import is_int, is_real
 # before we treat it as a wrong-parameter signal instead of float noise.
 DOMAIN_SLACK = 1e-9
 
+# Past this many radians (1/eps) a double's spacing exceeds one radian, so an
+# oscillating kernel's phase, and with it the kernel, has no correct digit.
+PHASE_LIMIT = 2.0 ** 52
+
 # Each family's NoiseSpec parameters and their canonical (reference-curve) values.
 FAMILY_PARAMS = {
     "none": {},
@@ -93,6 +97,20 @@ def weyl(u: int, v: int, d: int) -> np.ndarray:
     return op
 
 
+def _check_phase(phase: float, envelope: float, name: str, t: float) -> None:
+    """Reject an oscillation whose phase no double resolves, unless its
+    envelope has already decayed to 0; the error names the parameter.  A
+    phase that passes is finite or sits under a zero envelope."""
+    if envelope and not phase <= PHASE_LIMIT:
+        raise NoiseDomainError(f"{name}: kernel phase {phase} rad at t={t} is past "
+                               f"{PHASE_LIMIT:.3g} rad, where a double cannot resolve it")
+
+
+def _critical(y: float) -> float:
+    """exp(-y) * (1 + y), the critically damped kernel; 0 where y overflows."""
+    return math.exp(-y) * (1.0 + y) if y < math.inf else 0.0
+
+
 def rtn_modulation(a: float, gamma: float, t: float) -> float:
     """Damped harmonic kernel of the telegraph channel.
 
@@ -100,17 +118,29 @@ def rtn_modulation(a: float, gamma: float, t: float) -> float:
     nu = sqrt((2a/gamma)^2 - 1).  When (2a/gamma)^2 < 1 the frequency is
     imaginary and the bracket continues analytically to
     cosh(|nu|*gamma*t) + sinh(|nu|*gamma*t)/|nu|, evaluated here in a
-    form that cannot overflow.
+    form that cannot overflow.  When (2a/gamma)^2 overflows, nu equals
+    2a/gamma to double precision: the phase is 2a*t and sin/nu vanishes.
+    A phase past PHASE_LIMIT under a nonzero envelope raises
+    NoiseDomainError naming rtn.a.
     """
     a = _check_positive(a, "a")
     gamma = _check_positive(gamma, "gamma")
     x = gamma * _check_time(t)
-    radicand = (2.0 * a / gamma) ** 2 - 1.0
+    try:
+        radicand = (2.0 * a / gamma) ** 2 - 1.0
+    except OverflowError:
+        radicand = math.inf
     if radicand > 0:
-        nu = math.sqrt(radicand)
-        value = math.exp(-x) * (math.cos(nu * x) + math.sin(nu * x) / nu)
+        if radicand == math.inf:
+            nu, phase = math.inf, 2.0 * (a * t)
+        else:
+            nu = math.sqrt(radicand)
+            phase = nu * x
+        envelope = math.exp(-x)
+        _check_phase(phase, envelope, "rtn.a", t)
+        value = envelope * (math.cos(phase) + math.sin(phase) / nu) if phase < math.inf else 0.0
     elif radicand == 0:
-        value = math.exp(-x) * (1.0 + x)
+        value = _critical(x)
     else:
         mu = math.sqrt(-radicand)  # 0 < mu < 1, so both exponents decay
         value = (0.5 * (1.0 + 1.0 / mu) * math.exp((mu - 1.0) * x)
@@ -134,7 +164,10 @@ def nmad_damping(g: float, gamma: float, t: float) -> float:
     1 - exp(-g*t) * [(g/l)*sinh(l*t/2) + cosh(l*t/2)]^2 with
     l = sqrt(g^2 - 2*gamma*g), taken as g*sqrt(1 - 2*gamma/g) when real so
     that g*g cannot overflow and l - g cannot cancel.  For g < 2*gamma the
-    rate l is imaginary and the bracket becomes (g/|l|)*sin(|l|*t/2) + cos(|l|*t/2).
+    rate l is imaginary and the bracket becomes (g/|l|)*sin(|l|*t/2) + cos(|l|*t/2),
+    with |l| = sqrt(2g) sqrt(gamma - g/2) where g^2 or 2*gamma*g overflows.  A
+    phase |l|*t/2 past PHASE_LIMIT under a nonzero envelope raises
+    NoiseDomainError naming nmad.gamma.
     """
     g = _check_positive(g, "g")
     gamma = _check_positive(gamma, "gamma")
@@ -145,12 +178,19 @@ def nmad_damping(g: float, gamma: float, t: float) -> float:
         s = math.sqrt(1.0 - ratio)  # (l - g)/2 = -gamma/(1 + s): both exponents decay
         inner = (0.5 * (1.0 + 1.0 / s) * math.exp(-gamma * t / (1.0 + s))
                  + 0.5 * (1.0 - 1.0 / s) * math.exp(-0.5 * g * (1.0 + s) * t))
-    elif radicand >= 0:  # g == 2*gamma up to rounding
-        inner = math.exp(-0.5 * g * t) * (1.0 + 0.5 * g * t)
+    elif radicand >= 0 or ratio == 1.0 and math.isnan(radicand):
+        # g == 2*gamma up to rounding; radicand is inf - inf where g^2 overflows
+        inner = _critical(0.5 * g * t)
     else:
-        ell = math.sqrt(-radicand)
-        inner = math.exp(-0.5 * g * t) * ((g / ell) * math.sin(0.5 * ell * t)
-                                          + math.cos(0.5 * ell * t))
+        if math.isfinite(radicand):
+            ell = math.sqrt(-radicand)
+        else:  # gamma > g/2, so this is > 0
+            ell = math.sqrt(g) * math.sqrt(2.0) * math.sqrt(gamma - 0.5 * g)
+        phase = 0.5 * ell * t
+        envelope = math.exp(-0.5 * g * t)
+        _check_phase(phase, envelope, "nmad.gamma", t)
+        inner = (envelope * ((g / ell) * math.sin(phase) + math.cos(phase))
+                 if phase < math.inf else 0.0)
     value = 1.0 - inner * inner
     if not -DOMAIN_SLACK <= value <= 1.0 + DOMAIN_SLACK:
         raise NoiseDomainError(f"damping fraction left [0, 1]: {value} at t={t}")

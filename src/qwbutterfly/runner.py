@@ -176,7 +176,7 @@ def _snapshot(diagonals: np.ndarray, drain: float, psi: np.ndarray, bra: np.ndar
     sum_i |<r|V_i>|^2 + drain (|psi|^2 - |psi_0|^2) |r_0|^2 of the output
     sum_i V_i V_i^dag + drain (|psi|^2 - |psi_0|^2) |0><0|, in O(ops dim).
     """
-    v = np.expand_dims(diagonals, tuple(range(1, psi.ndim))) * psi
+    v = diagonals.reshape(len(diagonals), *(1,) * (psi.ndim - 1), -1) * psi
     fid = (np.abs((v * bra).sum(-1)) ** 2).sum(0)
     if drain:
         lost = (np.abs(psi) ** 2).sum(-1) - np.abs(psi[..., 0]) ** 2
@@ -232,9 +232,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         diagonals, drain = _channel(cfg.noise, t, basis.dim)
         if cfg.noise_mode == "snapshot":
             v, fid_noisy[t - 1] = _snapshot(diagonals, drain, psi, bra)
-            # the drain lands on the diagonal, so one operator leaves a pure-state
-            # coherence; more need the dense output V^T V^*
-            coh_noisy[t - 1] = coherence_l1(v[0] if len(v) == 1 else v.T @ v.conj())
+            # the drain lands on the diagonal, so one operator leaves the pure
+            # state v[0]; more give psi psi^dag o W with W = sum_i d_i d_i^dag,
+            # circulant because every rtn/oun diagonal is a scaled character
+            # omega^{uk}, so its first column carries the lag weights
+            if len(v) == 1:
+                coh_noisy[t - 1] = coherence_l1(v[0])
+            else:
+                lags = np.abs(diagonals.T @ diagonals[:, 0].conj())
+                coh_noisy[t - 1] = coherence_l1(psi, lags)
         else:
             # U rho U^dag, since U is real
             rho = _stepwise(diagonals, drain, walk.step(walk.step(rho).T).T)

@@ -81,6 +81,14 @@ def test_closed_form_series_match_dense_kraus_oracle(name, spec, mode):
     assert_matches_oracle(graph, r, 0, spec, mode, steps=60)
 
 
+@pytest.mark.parametrize("spec", NOISES[1:3], ids=lambda s: s.family)
+def test_dephasing_snapshot_at_dim_254_matches_dense_kraus_oracle(spec):
+    # the run-noisy benchmark size, where the coherence takes its FFT form
+    graph = build_butterfly(build_path(8), 8)
+    assert WalkOperator.assemble(graph, 3, 40).basis.dim == 254
+    assert_matches_oracle(graph, 3, 40, spec, "snapshot", steps=200)
+
+
 @PROPERTY
 @given(scenarios(), st.sampled_from(NOISES), st.sampled_from(MODES))
 def test_closed_form_matches_oracle_on_random_graphs(scenario, spec, mode):

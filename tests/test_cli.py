@@ -224,3 +224,22 @@ def test_noise_domain_error_maps_to_exit_code_3(capsys, monkeypatch):
                            "--sender", "0", "--receiver", "1")
     assert code == 3
     assert "numeric-domain" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags,name", [
+    (("--noise", "rtn", "--rtn-a", "1e160", "--rtn-gamma", "1"), "rtn.a"),
+    (("--noise", "nmad", "--nmad-g", "1", "--nmad-gamma", "1e308"), "nmad.gamma"),
+    # 2a/gamma overflows, but the kernel is cos(2 a t): a plain run
+    (("--noise", "rtn", "--rtn-a", "0.1", "--rtn-gamma", "1e-320"), None),
+], ids=["rtn-a-1e160", "nmad-gamma-1e308", "rtn-gamma-1e-320"])
+def test_overflowing_channel_parameters_fail_loudly_or_run(capsys, command, flags, name):
+    pair = ("--sender", "0", "--receiver", "1") if command == "run" else ()
+    code, out, err = run_cli(capsys, command, "--seed-path", "2", "--wings", "1",
+                             *pair, *flags)
+    if name is None:
+        assert code == 0 and err == ""
+        assert "nan" not in out
+    else:
+        assert code == 3
+        assert err.startswith(f"numeric-domain error: {name}: kernel phase")

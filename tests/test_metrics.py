@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from qwbutterfly import (
     fidelity_mixed,
     fidelity_pure,
     fidelity_with_pure,
+    oun_decay,
+    rtn_modulation,
 )
 
 
@@ -149,3 +153,49 @@ def test_coherence_pure_matches_projector(dim):
     psi /= np.linalg.norm(psi)
     assert coherence_l1(psi) == pytest.approx(coherence_l1(np.outer(psi, psi.conj())),
                                               rel=1e-12, abs=0)
+
+
+DEPHASING_KERNELS = {"rtn": lambda t: rtn_modulation(0.1, 0.01, t),
+                     "oun": lambda t: oun_decay(1.0, 0.05, t)}
+
+
+@pytest.mark.parametrize("kernel", sorted(DEPHASING_KERNELS))
+@pytest.mark.parametrize("dim", [1, 2, 3, 127, 254, 1126])
+def test_circulant_coherence_matches_the_dense_dephased_output(dim, kernel):
+    rng = np.random.default_rng(dim)
+    psi = random_pure(rng, dim)
+    lag = np.subtract.outer(np.arange(dim), np.arange(dim))
+    for t in [1, 37, 120, 200]:
+        p = 0.5 * (1.0 + DEPHASING_KERNELS[kernel](t))
+        w = p + (1.0 - p) * np.exp(2j * np.pi * lag / dim)
+        dense = np.abs(np.outer(psi, psi.conj()) * w)
+        want = dense.sum() - np.trace(dense)
+        got = coherence_l1(psi, np.abs(w[:, 0]))
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 127, 254])
+def test_circulant_coherence_reads_each_lag_in_its_direction(dim):
+    # weights with c_d != c_{dim-d}: sum_{j != k} a_j a_k c_{(j-k) mod dim}
+    rng = np.random.default_rng(dim + 1)
+    psi, weights = random_pure(rng, dim), rng.uniform(size=dim)
+    a = np.abs(psi)
+    lag = np.subtract.outer(np.arange(dim), np.arange(dim)) % dim
+    want = (np.outer(a, a) * weights[lag]).sum() - weights[0] * (a @ a)
+    assert coherence_l1(psi, weights) == pytest.approx(want, rel=1e-12)
+
+
+def test_circulant_coherence_of_unit_weights_is_the_pure_coherence():
+    psi = random_pure(np.random.default_rng(17), 254)
+    assert coherence_l1(psi, np.ones(254)) == pytest.approx(coherence_l1(psi), rel=1e-13)
+
+
+@pytest.mark.parametrize("state,weights", [
+    (np.ones(4), np.ones(3)),
+    (np.ones(4), np.ones((4, 1))),
+    (np.eye(4), np.ones(4)),
+], ids=["short weights", "2-d weights", "2-d state"])
+def test_circulant_coherence_rejects_mismatched_shapes(state, weights):
+    shapes = f"state shape {state.shape} and weights shape {weights.shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        coherence_l1(state, weights)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,63 @@ def test_noise_domain_error_is_an_arithmetic_error():
     assert issubclass(NoiseDomainError, ArithmeticError)
 
 
+# Parameters where the textbook form of a kernel overflows: (kernel,
+# (p1, p2), the limit the kernel takes there as a function of t).
+OVERFLOW_LIMITS = [
+    # 2a/gamma overflows: the phase is 2 a t and the envelope is 1
+    (rtn_modulation, (0.1, 1e-320), lambda t: math.cos(0.2 * t)),
+    # (2a/gamma)^2 overflows
+    (rtn_modulation, (1e-10, 1e-300), lambda t: math.cos(2e-10 * t)),
+    # (2a/gamma)^2 overflows and the envelope exp(-gamma t) is 0 for t >= 1
+    (rtn_modulation, (1e300, 1e140), lambda t: 1.0 if t == 0 else 0.0),
+    # g^2 - 2 gamma g is inf - inf: fully damped for t >= 1
+    (nmad_damping, (1e200, 1e200), lambda t: 0.0 if t == 0 else 1.0),
+    # gamma t overflows in the critically damped kernel (2a = gamma)
+    (rtn_modulation, (5e307, 1e308), lambda t: 1.0 if t == 0 else 0.0),
+    # 2 gamma g overflows: |l| = sqrt(2 gamma g), the envelope is 1
+    (nmad_damping, (1e-300, 1e308), lambda t: math.sin(0.5 * math.sqrt(2e8) * t) ** 2),
+    # g^2 and 2 gamma g overflow with g = 2 gamma: the critically damped kernel
+    (nmad_damping, (1e308, 5e307), lambda t: 0.0 if t == 0 else 1.0),
+]
+
+
+@pytest.mark.parametrize("kernel,params,limit", OVERFLOW_LIMITS,
+                         ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_kernels_take_their_limit_where_the_arithmetic_overflowed(kernel, params, limit):
+    for t in [0, 1, 2, 7, 200]:
+        assert kernel(*params, t) == pytest.approx(limit(t), abs=1e-9)
+
+
+# Parameters whose oscillation phase no double resolves while the envelope
+# is still nonzero: the kernel is undefined and the error names the cause.
+UNRESOLVED = [
+    (rtn_modulation, (1e160, 1.0), "rtn.a"),
+    (rtn_modulation, (1e308, 1.0), "rtn.a"),     # the phase itself overflows
+    (nmad_damping, (1.0, 1e308), "nmad.gamma"),
+    (nmad_damping, (1e-46, 1e105), "nmad.gamma"),
+]
+
+
+@pytest.mark.parametrize("kernel,params,name", UNRESOLVED,
+                         ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_kernels_name_the_parameter_of_an_unresolvable_phase(kernel, params, name):
+    kernel(*params, 0)  # the phase is 0 at t = 0
+    with pytest.raises(NoiseDomainError, match=rf"^{re.escape(name)}: kernel phase"):
+        kernel(*params, 300)
+    spec = NoiseSpec.rtn(*params) if name == "rtn.a" else NoiseSpec.nmad(*params)
+    with pytest.raises(NoiseDomainError, match=re.escape(name)):
+        spec.kraus(300, 4)
+
+
+def test_a_phase_just_below_the_limit_is_evaluated():
+    nu = math.sqrt(4e26 - 1.0)
+    assert nu * 225.0 < noise_mod.PHASE_LIMIT < nu * 226.0
+    assert rtn_modulation(1e13, 1.0, 225) == (
+        math.exp(-225.0) * (math.cos(nu * 225.0) + math.sin(nu * 225.0) / nu))
+    with pytest.raises(NoiseDomainError, match="rtn.a"):
+        rtn_modulation(1e13, 1.0, 226)
+
+
 BAD_TIMES = [math.nan, math.inf, -math.inf, -0.5, True, False, "1", None]
 
 
@@ -426,6 +484,23 @@ def test_lazy_stacks_equal_the_dense_construction(d):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         got = identity_kraus(d, t).stack
         assert got.tobytes() == np.eye(d, dtype=complex)[np.newaxis].tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("d", [1, 2, 5, 254])
+def test_multi_operator_closed_forms_are_circulant(spec, d):
+    # run_scenario's snapshot coherence reads the lag weights of
+    # W = sum_i d_i d_i^dag off its first column; that holds only while every
+    # multi-operator closed form is scaled characters omega^{uk} without drain
+    lag = np.subtract.outer(np.arange(d), np.arange(d)) % d
+    for t in [0, 1, 40, 200]:
+        ks = spec.kraus(t, d)
+        if len(ks.diagonals) == 1:
+            continue
+        w = ks.diagonals.T @ ks.diagonals.conj()
+        np.testing.assert_allclose(w, w[lag, 0], rtol=0, atol=1e-14)
+        assert ks.drain == 0.0
+    assert (len(spec.kraus(1, d).diagonals) > 1) == (spec.family in ("rtn", "oun"))
 
 
 def test_explicit_operators_have_no_closed_form():

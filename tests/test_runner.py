@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -242,6 +243,21 @@ def test_each_kraus_set_is_freed_before_the_next_is_built(monkeypatch, kind, mod
     else:
         sweep_placements(B3_P2, **fields)
     assert alive
+
+
+@pytest.mark.parametrize("spec", [NoiseSpec.rtn(0.1, 0.01), NoiseSpec.oun(1.0, 0.05)],
+                         ids=lambda s: s.family)
+def test_dephasing_snapshot_run_builds_no_dim_squared_array(spec):
+    graph = build_butterfly(build_path(10), 20)
+    dim = WalkOperator.assemble(graph, 3, 100).basis.dim
+    assert dim == 778
+    tracemalloc.start()
+    try:
+        run_scenario(ScenarioConfig(graph=graph, sender=3, receiver=100, steps=10, noise=spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * dim * dim
 
 
 def test_noisy_series_stays_close_where_kernel_is_near_one():
