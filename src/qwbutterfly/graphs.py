@@ -28,10 +28,12 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
+        if not (is_int(self.n) and self.n >= 1):
+            raise ValueError(f"graph needs an integer number of vertices >= 1, got n={self.n!r}")
         normalized = []
         for u, v in self.edges:
+            if not (is_int(u) and is_int(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -71,13 +73,17 @@ class Graph:
         return v in self._adjacency[u]
 
     def _check_vertex(self, v: int) -> None:
+        if not is_int(v):
+            raise ValueError(f"vertex {v!r} must be an integer")
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
 def is_int(value) -> bool:
     """True for Python and NumPy integers, false for bools."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # plain ints first: the ABC check costs ~10x more, and graphs check every vertex
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_real(value) -> bool:

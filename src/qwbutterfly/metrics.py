@@ -64,8 +64,8 @@ def fidelity_with_pure(rho: np.ndarray, target: np.ndarray) -> float:
     Algebraic reduction of fidelity_mixed when one argument is a pure
     projector; avoids eigendecomposition noise on nearly singular rho.
     """
-    rho = np.asarray(rho, dtype=complex)
-    target = np.asarray(target, dtype=complex)
+    rho = np.asarray(rho)
+    target = np.asarray(target)
     if rho.shape != (target.size, target.size):
         raise ValueError(f"shapes {rho.shape} and {target.shape} do not match")
     return float(np.real(target.conj() @ rho @ target))
@@ -93,7 +93,7 @@ def coherence_l1(state: np.ndarray, weights: Optional[np.ndarray] = None) -> flo
     with a = |psi| and R_d = sum_k a_{(k+d) mod dim} a_k its cyclic
     autocorrelation, taken through one real FFT in O(dim log dim).
     """
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     if weights is not None:
         return _circulant_coherence(state, np.asarray(weights))
     if state.ndim == 1:

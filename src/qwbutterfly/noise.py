@@ -151,11 +151,24 @@ def rtn_modulation(a: float, gamma: float, t: float) -> float:
 
 
 def oun_decay(lam: float, gamma: float, t: float) -> float:
-    """Monotone decay exp(-(lam/2) * (t + (exp(-gamma*t) - 1)/gamma))."""
+    """Monotone decay exp(-(lam/2) * (t + (exp(-gamma*t) - 1)/gamma)), in [0, 1].
+
+    The bracket is t f(x) with x = gamma*t and f(x) = 1 + expm1(-x)/x, which
+    cancels for small x; there f is taken from its series x/2 - x^2/6 + ...,
+    so the kernel tends to 1 as gamma -> 0 instead of losing its digits.
+    """
     lam = _check_positive(lam, "lambda")
     gamma = _check_positive(gamma, "gamma")
     t = _check_time(t)
-    return math.exp(-0.5 * lam * (t + (math.exp(-gamma * t) - 1.0) / gamma))
+    x = gamma * t
+    if x < 1e-3:  # the series to x^5 is exact to a double here
+        f = x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720))))
+    else:
+        f = 1.0 + math.expm1(-x) / x
+    value = math.exp(-0.5 * lam * t * f)
+    if not -DOMAIN_SLACK <= value <= 1.0 + DOMAIN_SLACK:
+        raise NoiseDomainError(f"OU decay left [0, 1]: {value} at t={t}")
+    return min(1.0, max(0.0, value))
 
 
 def nmad_damping(g: float, gamma: float, t: float) -> float:
@@ -203,9 +216,10 @@ class KrausSet:
 
     The family builders give the channel in closed form: `diagonals`, a
     read-only (ops, dim) array whose row i is the diagonal of the diagonal
-    operator K_i, and `drain`, the fraction of every level j >= 1 that the
-    further operators sqrt(drain) |0><j| move into |0> (0 for the unital
-    families; only nmad has drain operators).  `stack`, the read-only
+    operator K_i (float64 for no noise and nmad, complex128 for rtn/oun),
+    and `drain`, the fraction of every level j >= 1 that the further
+    operators sqrt(drain) |0><j| move into |0> (0 for the unital families;
+    only nmad has drain operators).  `stack`, the read-only
     (ops, dim, dim) complex array of all operators, is then built on first
     access and cached; `operators` are its per-operator views.
 
@@ -271,7 +285,7 @@ class KrausSet:
 def identity_kraus(dim: int, t: float = 0.0) -> KrausSet:
     """The do-nothing channel; used when no noise family is active."""
     _check_time(t)
-    return KrausSet._closed_form(np.ones((1, _check_dim(dim)), dtype=complex), t)
+    return KrausSet._closed_form(np.ones((1, _check_dim(dim))), t)
 
 
 def _dephasing_kraus(kernel: float, t: float, dim: int) -> KrausSet:
@@ -303,7 +317,7 @@ def nmad_kraus(g: float, gamma: float, t: float, dim: int) -> KrausSet:
     """
     _check_dim(dim)
     lam = nmad_damping(g, gamma, t)
-    diagonal = np.full((1, dim), math.sqrt(1.0 - lam), dtype=complex)
+    diagonal = np.full((1, dim), math.sqrt(1.0 - lam))
     diagonal[0, 0] = 1.0
     return KrausSet._closed_form(diagonal, t, drain=lam)
 

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, build_butterfly, build_path, is_connected, is_int, is_real
-from .metrics import average_fidelity, coherence_l1, fidelity_pure, fidelity_with_pure
+from .metrics import coherence_l1
 from .noise import NoiseSpec
-from .walk import RECEIVER_CONVENTIONS, WalkOperator, receiver_state, sender_state
+from .walk import RECEIVER_CONVENTIONS, WalkOperator, _vertex_states
 
 NOISE_MODES = ("snapshot", "stepwise")
 
@@ -27,10 +27,13 @@ CSV_HEADER = "t,fidelity,coherence,fidelity_noisy,coherence_noisy"
 # Sweep averages that agree to this many decimals rank as ties, by (s, r).
 TIE_DECIMALS = 12
 
-# Bytes one batch of pairs may hold in its largest temporary: the (ops, k, dim)
-# array of K_i psi over the channel's diagonal operators (16 ops dim per pair,
-# ops = 1 for the noiseless walk), or the (dim, k, dim) density batch in
-# stepwise mode (16 dim^2 per pair); longer pair lists run in chunks.
+# Bytes one batch of pairs may hold in its largest temporary: the (k, dim)
+# states r^* psi as the snapshot channel's matmul reads them (dim entries per
+# pair), or the (dim, k, dim) density batch in stepwise mode (dim^2 entries
+# per pair), at 8 bytes an entry where the channel's diagonals are real (no
+# noise, nmad) and 16 where they are complex (rtn, oun).  The walk's bincount
+# bins take 8 bytes per float64 of the array stepped, so never more.  Longer
+# pair lists run in chunks.
 BATCH_STATE_BYTES = 32 * 2 ** 20
 
 
@@ -146,19 +149,24 @@ def _validate_config(cfg: ScenarioConfig) -> None:
 def summarize(series: np.ndarray, sender: int, receiver: int, threshold: float,
               noise_family: str) -> RunSummary:
     """Build a RunSummary from a fidelity series indexed by t = 1..T."""
-    series = np.asarray(series, dtype=float)
-    argmax = int(np.argmax(series))  # earliest maximizer by argmax tie rule
-    peaks = tuple(int(i) + 1 for i in np.flatnonzero(series >= threshold))
-    return RunSummary(
-        sender=sender,
-        receiver=receiver,
-        average_fidelity=average_fidelity(series),
-        max_fidelity=float(series[argmax]),
-        argmax_t=argmax + 1,
-        peak_times=peaks,
-        peak_threshold=threshold,
-        noise_family=noise_family,
-    )
+    return _summaries(np.asarray(series, dtype=float)[np.newaxis], [(sender, receiver)],
+                      threshold, noise_family)[0]
+
+
+def _summaries(fid: np.ndarray, pairs: Sequence[tuple[int, int]], threshold: float,
+               noise_family: str) -> list[RunSummary]:
+    """The RunSummary of each pair from its row of the (k, T) fidelity array."""
+    argmax = fid.argmax(axis=1)  # earliest maximizer by argmax tie rule
+    maxima = fid[np.arange(len(fid)), argmax]
+    rows, times = np.nonzero(fid >= threshold)
+    bounds = np.searchsorted(rows, np.arange(len(fid) + 1)).tolist()
+    times = (times + 1).tolist()
+    return [RunSummary(sender=s, receiver=r, average_fidelity=average, max_fidelity=peak,
+                       argmax_t=t + 1, peak_times=tuple(times[lo:hi]),
+                       peak_threshold=threshold, noise_family=noise_family)
+            for (s, r), average, peak, t, lo, hi
+            in zip(pairs, fid.mean(axis=1).tolist(), maxima.tolist(), argmax.tolist(),
+                   bounds, bounds[1:])]
 
 
 def _channel(noise: NoiseSpec, t: int, dim: int) -> tuple[np.ndarray, float]:
@@ -169,19 +177,17 @@ def _channel(noise: NoiseSpec, t: int, dim: int) -> tuple[np.ndarray, float]:
 
 
 def _snapshot(diagonals: np.ndarray, drain: float, psi: np.ndarray, bra: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The channel on pure states psi (..., dim), seen by receivers bra^*.
-
-    Returns V, with V_i = diag(diagonals[i]) psi on axis 0, and the fidelity
-    sum_i |<r|V_i>|^2 + drain (|psi|^2 - |psi_0|^2) |r_0|^2 of the output
-    sum_i V_i V_i^dag + drain (|psi|^2 - |psi_0|^2) |0><0|, in O(ops dim).
+              ) -> np.ndarray:
+    """Fidelity of the channel output for pure states psi (..., dim), seen by
+    receivers bra^*: the output is sum_i V_i V_i^dag + drain (|psi|^2 -
+    |psi_0|^2) |0><0| with V_i = diag(diagonals[i]) psi, so the fidelity is
+    sum_i |<r|V_i>|^2 + drain (|psi|^2 - |psi_0|^2) |r_0|^2, in O(ops dim).
     """
-    v = diagonals.reshape(len(diagonals), *(1,) * (psi.ndim - 1), -1) * psi
-    fid = (np.abs((v * bra).sum(-1)) ** 2).sum(0)
+    fid = (np.abs((bra * psi) @ diagonals.T) ** 2).sum(-1)
     if drain:
         lost = (np.abs(psi) ** 2).sum(-1) - np.abs(psi[..., 0]) ** 2
         fid = fid + drain * lost * np.abs(bra[..., 0]) ** 2
-    return v, fid
+    return fid
 
 
 def _stepwise(diagonals: np.ndarray, drain: float, rho: np.ndarray) -> np.ndarray:
@@ -203,53 +209,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rho_t' = sum_i K_i(t) |psi_t><psi_t| K_i(t)^dag against the receiver
     projector.  With the "none" family the two series coincide.  The
     channel acts in closed form (_snapshot, _stepwise); no Kraus matrix
-    is built.
+    is built.  The run is the one-pair case of the batch loop of sweeps.
     """
     _validate_config(cfg)
     walk = WalkOperator.assemble(cfg.graph, cfg.sender, cfg.receiver)
-    basis = walk.basis
-    psi = sender_state(cfg.graph, basis, cfg.sender)
-    target = receiver_state(cfg.graph, basis, cfg.receiver, cfg.receiver_convention)
-
-    T = cfg.steps
-    fid = np.empty(T)
-    coh = np.empty(T)
-    fid_noisy = np.empty(T)
-    coh_noisy = np.empty(T)
-
-    noiseless = cfg.noise.family == "none" and cfg.noise_mode == "snapshot"
-    rho = np.outer(psi, psi.conj()) if cfg.noise_mode == "stepwise" else None
-    bra = target.conj()
-    for t in range(1, T + 1):
-        psi = walk.step(psi)
-        fid[t - 1] = fidelity_pure(psi, target)
-        coh[t - 1] = coherence_l1(psi)
-        if noiseless:
-            # identity channel: reuse the clean values bit for bit
-            fid_noisy[t - 1] = fid[t - 1]
-            coh_noisy[t - 1] = coh[t - 1]
-            continue
-        diagonals, drain = _channel(cfg.noise, t, basis.dim)
-        if cfg.noise_mode == "snapshot":
-            v, fid_noisy[t - 1] = _snapshot(diagonals, drain, psi, bra)
-            # the drain lands on the diagonal, so one operator leaves the pure
-            # state v[0]; more give psi psi^dag o W with W = sum_i d_i d_i^dag,
-            # circulant because every rtn/oun diagonal is a scaled character
-            # omega^{uk}, so its first column carries the lag weights
-            if len(v) == 1:
-                coh_noisy[t - 1] = coherence_l1(v[0])
-            else:
-                lags = np.abs(diagonals.T @ diagonals[:, 0].conj())
-                coh_noisy[t - 1] = coherence_l1(psi, lags)
-        else:
-            # U rho U^dag, since U is real
-            rho = _stepwise(diagonals, drain, walk.step(walk.step(rho).T).T)
-            fid_noisy[t - 1] = fidelity_with_pure(rho, target)
-            coh_noisy[t - 1] = coherence_l1(rho)
-
+    fid_noisy, fid, coh, coh_noisy = _evolve(walk, cfg)
     summary = summarize(fid_noisy, cfg.sender, cfg.receiver, cfg.peak_threshold,
                         cfg.noise.family)
-    return ScenarioResult(steps=T, fidelity=fid, coherence=coh,
+    return ScenarioResult(steps=cfg.steps, fidelity=fid, coherence=coh,
                           fidelity_noisy=fid_noisy, coherence_noisy=coh_noisy,
                           summary=summary)
 
@@ -259,12 +226,11 @@ def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
     """Summaries of the scenarios of several (sender, receiver) pairs on one graph.
 
     Gives what run_scenario(...).summary gives for each pair, to 1e-12, from
-    one batched walk: one assembly and one full validation per graph (plus
-    each pair's own checks), the k pairs stepped as one (k, dim) state array
-    (a density batch in stepwise mode), one closed-form channel per step
-    shared by the batch, and no coherence series.  `fields` are the other
-    ScenarioConfig fields, shared by every pair.  A batch's largest temporary
-    holds at most BATCH_STATE_BYTES; longer pair lists run in chunks.
+    one batched walk (_evolve): one assembly and one full validation per
+    graph (plus each pair's own checks), and no coherence series.  `fields`
+    are the other ScenarioConfig fields, shared by every pair.  A batch's
+    largest temporary holds at most BATCH_STATE_BYTES; longer pair lists run
+    in chunks.
     """
     cfg = ScenarioConfig(graph, *pairs[0], **fields)
     _validate_config(cfg)
@@ -272,48 +238,74 @@ def _run_pairs(graph: Graph, pairs: Sequence[tuple[int, int]], fields: dict
         _check_pair(graph, s, r)
     walk = WalkOperator.assemble(graph, *pairs[0])
     dim = walk.basis.dim
-    if cfg.noise_mode == "stepwise":
-        pair_bytes = 16 * dim * dim
-    else:
-        ops = 1 if cfg.noise.family == "none" else len(cfg.noise.kraus(0, dim).diagonals)
-        pair_bytes = 16 * ops * dim
-    chunk = max(1, BATCH_STATE_BYTES // pair_bytes)
-    fid = np.concatenate([_batch_fidelity(walk, cfg, pairs[i:i + chunk])
+    # no noise keeps the noise layer bypassed; its diagonals are real
+    itemsize = 8 if cfg.noise.family == "none" else cfg.noise.kraus(0, dim).diagonals.itemsize
+    entries = dim * dim if cfg.noise_mode == "stepwise" else dim
+    chunk = max(1, BATCH_STATE_BYTES // (itemsize * entries))
+    fid = np.concatenate([_evolve(walk, cfg, pairs[i:i + chunk])[0]
                           for i in range(0, len(pairs), chunk)])
-    return [summarize(series, s, r, cfg.peak_threshold, cfg.noise.family)
-            for series, (s, r) in zip(fid, pairs)]
+    return _summaries(fid, pairs, cfg.peak_threshold, cfg.noise.family)
 
 
-def _batch_fidelity(walk: WalkOperator, cfg: ScenarioConfig,
-                    pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Noisy fidelity series of each pair, shape (k, steps); the step and
-    channel arithmetic is run_scenario's, applied to the whole batch."""
-    graph, basis = cfg.graph, walk.basis
-    batch = walk.for_pairs(*zip(*pairs))
-    psi = np.stack([sender_state(graph, basis, s) for s, _ in pairs])
-    target = np.stack([receiver_state(graph, basis, r, cfg.receiver_convention)
-                       for _, r in pairs])
-    bra = target.conj()
+def _evolve(walk: WalkOperator, cfg: ScenarioConfig,
+            pairs: Optional[Sequence[tuple[int, int]]] = None) -> tuple[np.ndarray, ...]:
+    """The step loop of runs, sweeps and tables.
+
+    Returns (noisy fidelity, clean fidelity, clean coherence, noisy
+    coherence), each indexed by t - 1.  With `pairs`, their k walks step as
+    one (k, dim) float64 batch (a (dim, k, dim) density batch in stepwise
+    mode), each step's closed-form channel is shared by the batch, and only
+    the (k, steps) noisy fidelity is returned; the other three are None.
+    Without, the walk's own pair steps as one (dim,) state (a (dim, dim)
+    density matrix) and every series is returned, as a run records them.
+    """
+    series = pairs is None
+    batch = walk if series else walk.for_pairs(*(np.array(marks) for marks in zip(*pairs)))
+    psi = _vertex_states(walk.basis, batch.sender)
+    target = _vertex_states(walk.basis, batch.receiver, cfg.receiver_convention)
     stepwise = cfg.noise_mode == "stepwise"
     noiseless = cfg.noise.family == "none" and not stepwise
     if stepwise:
-        # rho[i, k, j] = psi_k[i] psi_k[j]^*: with the pair axis in the middle,
-        # .T swaps the two arc axes and keeps the pairs, as in run_scenario
-        rho = np.einsum("ki,kj->ikj", psi, psi.conj())
-    fid = np.empty((len(pairs), cfg.steps))
-    for t in range(1, cfg.steps + 1):
+        # rho[i, k, j] = psi_k[i] psi_k[j]: with the pair axis in the middle,
+        # .T swaps the two arc axes and keeps the pairs
+        rho = np.einsum("...i,...j->i...j", psi, psi)
+    T = cfg.steps
+    overlap = np.empty((*psi.shape[:-1], T))   # <target|psi_t>
+    fid_noisy = np.empty_like(overlap)
+    coh, coh_noisy = np.empty(T), np.empty(T)
+    for t in range(1, T + 1):
+        if series or not stepwise:  # a stepwise sweep needs only the densities
+            psi = batch.step(psi)
+            np.einsum("...d,...d->...", target, psi, out=overlap[..., t - 1])
+        if series:
+            coh[t - 1] = coherence_l1(psi)
         if noiseless:
-            psi = batch.step(psi)
-            fid[:, t - 1] = np.abs(np.einsum("kd,kd->k", bra, psi)) ** 2
             continue
-        diagonals, drain = _channel(cfg.noise, t, basis.dim)
+        diagonals, drain = _channel(cfg.noise, t, walk.basis.dim)
         if stepwise:
+            # U rho U^dag, since U is real
             rho = _stepwise(diagonals, drain, batch.step(batch.step(rho).T).T)
-            fid[:, t - 1] = np.einsum("ki,ikj,kj->k", bra, rho, target).real
-        else:
-            psi = batch.step(psi)
-            fid[:, t - 1] = _snapshot(diagonals, drain, psi, bra)[1]
-    return fid
+            fid_noisy[..., t - 1] = np.einsum("...i,i...j,...j->...", target, rho, target).real
+            if series:
+                coh_noisy[t - 1] = coherence_l1(rho)
+            continue
+        fid_noisy[..., t - 1] = _snapshot(diagonals, drain, psi, target)
+        if series:
+            # the drain lands on the diagonal, so one operator leaves the pure
+            # state V_0; more give psi psi^dag o W with W = sum_i d_i d_i^dag,
+            # circulant because every rtn/oun diagonal is a scaled character
+            # omega^{uk}, so its first column carries the lag weights
+            if len(diagonals) == 1:
+                coh_noisy[t - 1] = coherence_l1(diagonals[0] * psi)
+            else:
+                lags = np.abs(diagonals.T @ diagonals[:, 0].conj())
+                coh_noisy[t - 1] = coherence_l1(psi, lags)
+    if noiseless:
+        # identity channel: the noisy series are the clean ones, bit for bit
+        fid_noisy, coh_noisy = overlap ** 2, coh.copy()
+    if not series:
+        return fid_noisy, None, None, None
+    return fid_noisy, overlap ** 2, coh, coh_noisy
 
 
 def sweep_placements(graph: Graph, /, **fields) -> list[RunSummary]:

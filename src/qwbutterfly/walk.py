@@ -7,7 +7,8 @@ the marked sender and receiver) and S reverses every arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -93,13 +94,13 @@ def _marked_sign(basis: ArcBasis, sender, receiver) -> np.ndarray:
 
 
 def sender_state(graph: Graph, basis: ArcBasis, sender: int) -> np.ndarray:
-    """Uniform superposition over the arcs leaving the sender vertex."""
+    """Uniform superposition over the arcs leaving the sender vertex, float64."""
     return receiver_state(graph, basis, sender, "outgoing")
 
 
 def receiver_state(graph: Graph, basis: ArcBasis, receiver: int,
                    convention: str = "outgoing") -> np.ndarray:
-    """Uniform superposition over the receiver's arcs.
+    """Uniform superposition over the receiver's arcs, float64.
 
     convention="incoming" uses the arcs (q, r) pointing into the receiver;
     convention="outgoing" uses the arcs (r, q) leaving it.  The two give
@@ -108,11 +109,19 @@ def receiver_state(graph: Graph, basis: ArcBasis, receiver: int,
     """
     if convention not in RECEIVER_CONVENTIONS:
         raise ValueError(f"unknown receiver convention {convention!r}")
-    d = graph.degree(receiver)
-    if d == 0:
+    if graph.degree(receiver) == 0:
         raise ValueError(f"vertex {receiver} is isolated; it has no arcs")
-    psi = np.where(basis.tail == receiver, 1.0 / np.sqrt(d), 0j)
-    return psi[basis.reverse] if convention == "incoming" else psi
+    return _vertex_states(basis, receiver, convention)
+
+
+def _vertex_states(basis: ArcBasis, vertices, convention: str = "outgoing") -> np.ndarray:
+    """receiver_state of a vertex, shape (dim,), or of each of k vertices, as
+    the rows of a (k, dim) array.  The vertices are not checked: each must
+    have arcs."""
+    vertices = np.asarray(vertices)
+    degree = np.bincount(basis.tail, minlength=basis.graph.n)[vertices]
+    psi = np.where(basis.tail == vertices[..., None], 1.0 / np.sqrt(degree)[..., None], 0.0)
+    return psi[..., basis.reverse] if convention == "incoming" else psi
 
 
 @dataclass(frozen=True)
@@ -129,15 +138,18 @@ class WalkOperator:
     receiver: int | np.ndarray
     sign: np.ndarray      # -1 on the arcs leaving the sender or receiver, else +1;
                           # one row per pair in a batch operator
-    starts: np.ndarray    # first arc of each vertex that has arcs
-    degrees: np.ndarray   # number of arcs from each of those vertices
+    vertex: np.ndarray    # each arc's tail as an index into `degrees`
+    degrees: np.ndarray   # number of arcs from each vertex that has arcs
+    # bincount bins by float64s per arc (1 real, 2 complex), for the most rows
+    # stepped so far; fewer rows use a prefix
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def assemble(cls, graph: Graph, sender: int, receiver: int) -> "WalkOperator":
         basis = ArcBasis(graph)
         _check_marks(graph, sender, receiver)
-        _, starts, degrees = np.unique(basis.tail, return_index=True, return_counts=True)
-        return cls(basis, sender, receiver, _marked_sign(basis, sender, receiver), starts,
+        _, vertex, degrees = np.unique(basis.tail, return_inverse=True, return_counts=True)
+        return cls(basis, sender, receiver, _marked_sign(basis, sender, receiver), vertex,
                    degrees)
 
     def for_pairs(self, senders, receivers) -> "WalkOperator":
@@ -153,10 +165,38 @@ class WalkOperator:
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """U applied along the last axis: reflect each vertex's arcs about
-        their mean, apply the marked sign, then reverse every arc."""
-        means = np.add.reduceat(psi, self.starts, axis=-1) / self.degrees
-        coined = self.sign * (2.0 * np.repeat(means, self.degrees, axis=-1) - psi)
+        their mean, apply the marked sign, then reverse every arc.
+
+        Real input gives a float64 result and complex input a complex128
+        one.  The vertex sums of all rows come from one np.bincount over the
+        array's float64 parts (real and imaginary parts interleaved for
+        complex input), whose bins are built once and kept on the operator.
+        """
+        psi = np.asarray(psi)
+        psi = np.ascontiguousarray(psi, dtype=complex if psi.dtype.kind == "c" else float)
+        if psi.shape[-1:] != self.vertex.shape:
+            raise ValueError(f"state has shape {psi.shape}, expected (..., {self.basis.dim})")
+        parts = psi.view(float)
+        sums = np.bincount(self._bins_for(parts.size, psi.itemsize // parts.itemsize),
+                           parts.ravel())
+        twice_means = (sums.view(psi.dtype).reshape(*psi.shape[:-1], len(self.degrees))
+                       * self._twice_inverse_degree)
+        coined = self.sign * (twice_means.take(self.vertex, axis=-1) - psi)
         return coined.take(self.basis.reverse, axis=-1)
+
+    def _bins_for(self, size: int, parts: int) -> np.ndarray:
+        """The `size` flat bins (vertex + nv row) parts + part of an input
+        whose arcs are `parts` float64s each (1 real, 2 complex)."""
+        bins = self._bins.get(parts)
+        if bins is None or len(bins) < size:
+            rows = size // max(1, parts * len(self.vertex))
+            slots = self.vertex + len(self.degrees) * np.arange(rows)[:, None]
+            bins = self._bins[parts] = (parts * slots[..., None] + np.arange(parts)).ravel()
+        return bins[:size]
+
+    @cached_property
+    def _twice_inverse_degree(self) -> np.ndarray:
+        return 2.0 / self.degrees
 
     @cached_property
     def coin(self) -> np.ndarray:
@@ -178,10 +218,14 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 
 def evolve(walk: WalkOperator, psi0: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the evolution operator `steps` times to a pure state."""
+    """Apply the evolution operator `steps` times to a pure state.
+
+    A real state stays real (float64); a complex one is complex128.
+    """
     if not (is_int(steps) and steps >= 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-    psi = np.asarray(psi0, dtype=complex)
+    psi = np.asarray(psi0)
+    psi = psi.astype(complex if np.iscomplexobj(psi) else float)
     if psi.shape != (walk.basis.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.basis.dim},)")
     for _ in range(steps):

@@ -94,6 +94,13 @@ def test_graph_rejects_empty_vertex_set():
         Graph(0, ())
 
 
+@pytest.mark.parametrize("n,edges", [(3, ((0, 1.0), (1, 2))), (3, ((0, True), (1, 2))),
+                                     (True, ()), (2.0, ((0, 1),))], ids=repr)
+def test_graph_rejects_non_integer_vertices(n, edges):
+    with pytest.raises(ValueError, match="integer"):
+        Graph(n, edges)
+
+
 def test_degree_examples():
     assert B1_P2.degree(0) == 2
     assert P2.degree(0) == 1

@@ -110,6 +110,21 @@ def test_oun_decay_starts_at_one_and_decreases():
     assert oun_decay(lam, gamma, 1e5) < 1e-12
 
 
+def test_oun_decay_does_not_cancel_at_small_rate():
+    # the bracket t + (exp(-gamma t) - 1)/gamma is ~ gamma t^2 / 2 here
+    assert oun_decay(1.0, 1e-12, 10) == pytest.approx(math.exp(-2.5e-11), rel=1e-15)
+    assert oun_decay(1.0, 1e-320, 10) == 1.0
+    for gamma in [1e-320, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 1.0, 1e3]:
+        values = [oun_decay(1.0, gamma, t) for t in np.linspace(0.0, 200.0, 801)]
+        assert all(1.0 >= a >= b >= 0.0 for a, b in zip(values, values[1:])), gamma
+
+
+def test_oun_decay_range_is_checked(monkeypatch):
+    monkeypatch.setattr(noise_mod.math, "expm1", lambda x: 3.0 * x)  # bracket -2t
+    with pytest.raises(NoiseDomainError, match=r"OU decay left \[0, 1\]"):
+        oun_decay(1.0, 1.0, 1.0)
+
+
 def test_nmad_damping_starts_at_zero():
     assert nmad_damping(*NMAD_PARAMS, 0.0) == 0.0
 

@@ -176,32 +176,83 @@ def test_batched_sweep_matches_per_pair_runs(graph, spec, mode):
 
 
 def test_sweep_in_chunks_matches_one_batch(monkeypatch):
-    batch_fidelity = runner_mod._batch_fidelity
+    evolve_batch = runner_mod._evolve
     chunks = []
 
     def counted(walk, cfg, pairs):
         chunks.append(len(pairs))
-        return batch_fidelity(walk, cfg, pairs)
+        return evolve_batch(walk, cfg, pairs)
 
-    monkeypatch.setattr(runner_mod, "_batch_fidelity", counted)
-    # B3_P2 has arc dim 20 and 56 pairs; a snapshot pair holds one state per
-    # diagonal operator (rtn 2, nmad 1), a stepwise pair one density matrix
-    for spec, mode, ops in [(NoiseSpec.rtn(0.1, 0.01), "stepwise", 1),
-                            (NoiseSpec.nmad(0.3, 0.05), "stepwise", 1),
-                            (NoiseSpec.nmad(0.3, 0.05), "snapshot", 1),
-                            (NoiseSpec.rtn(0.1, 0.01), "snapshot", 2)]:
+    monkeypatch.setattr(runner_mod, "_evolve", counted)
+    # B3_P2 has arc dim 20 and 56 pairs; a snapshot pair holds one state, a
+    # stepwise pair one density matrix; an entry takes 16 bytes where the
+    # channel's diagonals are complex (rtn) and 8 where they are real (nmad)
+    for spec, mode, itemsize in [(NoiseSpec.rtn(0.1, 0.01), "stepwise", 16),
+                                 (NoiseSpec.nmad(0.3, 0.05), "stepwise", 8),
+                                 (NoiseSpec.nmad(0.3, 0.05), "snapshot", 8),
+                                 (NoiseSpec.rtn(0.1, 0.01), "snapshot", 16),
+                                 (NoiseSpec(), "snapshot", 8)]:
         fields = dict(steps=30, noise=spec, noise_mode=mode)
         with monkeypatch.context() as m:
             m.setattr(runner_mod, "BATCH_STATE_BYTES", 10 ** 9)
             whole = sweep_placements(B3_P2, **fields)
         assert chunks == [56]
         chunks.clear()
-        pair_bytes = 16 * ops * 20 ** (2 if mode == "stepwise" else 1)
+        pair_bytes = itemsize * 20 ** (2 if mode == "stepwise" else 1)
         with monkeypatch.context() as m:
             m.setattr(runner_mod, "BATCH_STATE_BYTES", 3 * pair_bytes)  # 3 pairs a chunk
             assert sweep_placements(B3_P2, **fields) == whole
         assert chunks == [3] * 18 + [2]
         chunks.clear()
+
+
+@pytest.mark.parametrize("spec,mode", [(NoiseSpec.rtn(0.1, 0.01), "stepwise"),
+                                       (NoiseSpec.nmad(0.3, 0.05), "stepwise"),
+                                       (NoiseSpec.rtn(0.1, 0.01), "snapshot"),
+                                       (NoiseSpec(), "snapshot")],
+                         ids=lambda v: getattr(v, "family", v))
+def test_chunks_bound_the_stepped_arrays_and_their_bins(monkeypatch, spec, mode):
+    step, bins_for = WalkOperator.step, WalkOperator._bins_for
+    sizes = []
+
+    def step_sized(self, psi):
+        sizes.append(np.asarray(psi).nbytes)
+        return step(self, psi)
+
+    def bins_sized(self, rows, parts):
+        bins = bins_for(self, rows, parts)
+        sizes.append(bins.nbytes)
+        return bins
+
+    monkeypatch.setattr(WalkOperator, "step", step_sized)
+    monkeypatch.setattr(WalkOperator, "_bins_for", bins_sized)
+    monkeypatch.setattr(runner_mod, "BATCH_STATE_BYTES", 20_000)
+    sweep_placements(B3_P2, steps=5, noise=spec, noise_mode=mode)
+    assert 0 < max(sizes) <= 20_000
+
+
+@pytest.mark.parametrize("spec,mode", [(NoiseSpec(), "snapshot"),
+                                       (NoiseSpec.rtn(0.1, 0.01), "snapshot"),
+                                       (NoiseSpec.oun(1.0, 0.05), "snapshot"),
+                                       (NoiseSpec.nmad(0.3, 0.05), "snapshot"),
+                                       (NoiseSpec.nmad(0.3, 0.05), "stepwise")],
+                         ids=lambda v: getattr(v, "family", v))
+def test_runs_sweeps_and_tables_step_real_arrays(monkeypatch, spec, mode):
+    step = WalkOperator.step
+    stepped = []
+
+    def real_only(self, psi):
+        assert not np.iscomplexobj(psi), "a complex array reached WalkOperator.step"
+        stepped.append(psi.dtype)
+        return step(self, psi)
+
+    monkeypatch.setattr(WalkOperator, "step", real_only)
+    fields = dict(steps=20, noise=spec, noise_mode=mode)
+    run_scenario(ScenarioConfig(graph=B3_P2, sender=5, receiver=6, **fields))
+    sweep_placements(B3_P2, **fields)
+    if spec.family == "none":
+        evaluate_reference_tables(steps=20, receiver_convention="outgoing")
+    assert set(stepped) == {np.dtype(np.float64)}
 
 
 def test_sweep_assembles_once_per_graph(monkeypatch):

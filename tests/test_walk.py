@@ -320,3 +320,70 @@ def test_for_pairs_steps_each_row_under_its_own_marks():
         single = WalkOperator.assemble(B3_P3, s, r)
         np.testing.assert_array_equal(single.sign, batch.sign[row])
         np.testing.assert_allclose(stepped[row], single.evolution @ psi[row], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda v: B2.degree(v),
+    lambda v: B2.neighbors(v),
+    lambda v: B2.has_edge(0, v),
+    lambda v: B2.has_edge(v, 0),
+    lambda v: sender_state(B2, ArcBasis(B2), v),
+    lambda v: receiver_state(B2, ArcBasis(B2), v),
+    lambda v: WalkOperator.assemble(B2, v, 2),
+    lambda v: WalkOperator.assemble(B2, 2, v),
+], ids=["degree", "neighbors", "has_edge_v", "has_edge_u", "sender_state",
+        "receiver_state", "assemble_sender", "assemble_receiver"])
+def test_vertices_must_be_integers(call, vertex):
+    with pytest.raises(ValueError, match=rf"vertex {vertex!r} must be an integer"):
+        call(vertex)
+    call(np.int64(1))
+
+
+def test_states_are_real():
+    basis = ArcBasis(B3_P3)
+    for psi in (sender_state(B3_P3, basis, 4), receiver_state(B3_P3, basis, 4, "incoming"),
+                receiver_state(B3_P3, basis, 4, "outgoing")):
+        assert psi.dtype == np.float64
+    walk = WalkOperator.assemble(B3_P3, 4, 6)
+    assert evolve(walk, sender_state(B3_P3, basis, 4), 5).dtype == np.float64
+    assert evolve(walk, sender_state(B3_P3, basis, 4) + 0j, 5).dtype == np.complex128
+
+
+def test_step_keeps_real_input_real_and_splits_complex_input():
+    batch = WalkOperator.assemble(B3_P3, 0, 1).for_pairs([5, 0, 2], [6, 1, 7])
+    rng = np.random.default_rng(11)
+    shape = (3, batch.basis.dim)
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    assert batch.step(x).dtype == np.float64
+    assert batch.step(x.astype(np.float32)).dtype == np.float64
+    z = batch.step(x + 1j * y)
+    assert z.dtype == np.complex128
+    np.testing.assert_allclose(z, batch.step(x) + 1j * batch.step(y), rtol=0, atol=1e-15)
+
+
+def test_step_bins_follow_the_input_layout():
+    # one operator steps a (k, dim) batch, a (dim, k, dim) density batch and a
+    # (k, dim) batch again, real and complex: bins kept for the wrong layout
+    # would mix rows
+    pairs = [(5, 6), (0, 1), (2, 7)]
+    batch = WalkOperator.assemble(B3_P3, 0, 1).for_pairs(*zip(*pairs))
+    dim, k = batch.basis.dim, len(pairs)
+    singles = [WalkOperator.assemble(B3_P3, s, r).evolution for s, r in pairs]
+    rng = np.random.default_rng(5)
+    for dtype in (float, complex, float):
+        psi = rng.normal(size=(k, dim)).astype(dtype)
+        rho = rng.normal(size=(dim, k, dim)).astype(dtype)
+        for _ in range(2):
+            stepped = batch.step(psi)
+            for row, u in enumerate(singles):
+                np.testing.assert_allclose(stepped[row], u @ psi[row], rtol=0, atol=1e-12)
+            both = batch.step(batch.step(rho).T).T
+            for row, u in enumerate(singles):
+                np.testing.assert_allclose(both[:, row], u @ rho[:, row] @ u.T, rtol=0, atol=1e-12)
+
+
+def test_step_rejects_a_state_of_the_wrong_length():
+    walk = WalkOperator.assemble(P2, 0, 1)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
+        walk.step(np.zeros(3))

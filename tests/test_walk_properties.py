@@ -64,3 +64,14 @@ def test_receiver_states_match_arc_by_arc_construction(scenario):
     np.testing.assert_array_equal(receiver_state(graph, basis, r, "incoming"), incoming)
     np.testing.assert_array_equal(receiver_state(graph, basis, r, "outgoing"), outgoing)
     np.testing.assert_array_equal(sender_state(graph, basis, r), outgoing)
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_real_step_matches_dense_evolution(scenario, seed, k):
+    graph, s, r = scenario
+    walk = WalkOperator.assemble(graph, s, r)
+    psi = np.random.default_rng(seed).normal(size=(k, walk.basis.dim))
+    stepped = walk.step(psi)
+    assert stepped.dtype == np.float64
+    assert np.max(np.abs(stepped - psi @ walk.evolution.T)) <= 1e-12
